@@ -40,30 +40,38 @@ class SimTaskFailed(Exception):
 
 
 class _Task:
-    __slots__ = ("name", "index", "fn", "thread", "resume", "finished", "error", "result")
+    __slots__ = ("name", "fn", "thread", "gate", "error", "result")
 
-    def __init__(self, name: str, index: int, fn: Callable[[], object]):
+    def __init__(self, name: str, fn: Callable[[], object]):
         self.name = name
-        self.index = index
         self.fn = fn
         self.thread: threading.Thread | None = None
-        self.resume = threading.Event()
-        self.finished = False
+        # Held while the task is parked; whoever dispatches the task's next
+        # event releases it.  A plain Lock may be released by any thread.
+        self.gate = threading.Lock()
+        self.gate.acquire()
         self.error: BaseException | None = None
         self.result: object = None
 
 
 class Scheduler:
-    """Event-heap driver for deterministic cooperative multitasking."""
+    """Event-heap scheduler for deterministic cooperative multitasking.
+
+    Control passes directly from task to task: the task giving it up pops
+    the next event and releases that task's gate, one OS switch per event
+    and none when the next event is its own.  The driver thread only
+    starts the task threads, dispatches the first event and joins them.
+    """
 
     def __init__(self, start_time: float = 0.0):
         self.now = float(start_time)
         self.events_processed = 0
         self._heap: list[tuple[float, int, _Task]] = []
         self._seq = itertools.count()
-        self._control = threading.Event()
         self._tasks_by_ident: dict[int, _Task] = {}
-        self._current: _Task | None = None
+        # Released by the task that finishes with the heap empty.
+        self._drained = threading.Lock()
+        self._drained.acquire()
         self._running = False
 
     @property
@@ -71,6 +79,14 @@ class Scheduler:
         """Name of the task currently holding control (None in the driver)."""
         task = self._tasks_by_ident.get(threading.get_ident())
         return task.name if task is not None else None
+
+    def _dispatch(self, event: tuple[float, int, _Task]) -> _Task:
+        """Advance the clock to a just-popped event; returns its task."""
+        when, _, task = event
+        if when > self.now:
+            self.now = when
+        self.events_processed += 1
+        return task
 
     # -- task-side API ------------------------------------------------------------------
 
@@ -83,13 +99,17 @@ class Scheduler:
         """
         seconds = max(0.0, float(seconds))
         task = self._tasks_by_ident.get(threading.get_ident())
-        if task is None or task is not self._current:
+        if task is None:
             self.now += seconds
             return
-        heapq.heappush(self._heap, (self.now + seconds, next(self._seq), task))
-        task.resume.clear()
-        self._control.set()
-        task.resume.wait()
+        # Push our wake-up and pop the next event in one step; when our own
+        # wake-up is next it never enters the heap and we carry on.
+        following = self._dispatch(
+            heapq.heappushpop(self._heap, (self.now + seconds, next(self._seq), task))
+        )
+        if following is not task:
+            following.gate.release()
+            task.gate.acquire()
 
     # -- driver-side API ----------------------------------------------------------------
 
@@ -102,7 +122,7 @@ class Scheduler:
 
         All tasks start at the current virtual instant, in list order.
         Returns their results in the same order; if any task raised, the
-        first failure (by completion order) is re-raised as
+        first failure (in list order) is re-raised as
         :exc:`SimTaskFailed` after the remaining tasks finish.
         """
         if self._running:
@@ -112,25 +132,18 @@ class Scheduler:
         try:
             for index, fn in enumerate(fns):
                 name = names[index] if names is not None else f"task-{index}"
-                task = _Task(name, index, fn)
+                task = _Task(name, fn)
                 task.thread = threading.Thread(
                     target=self._task_main, args=(task,), name=f"sim:{name}", daemon=True
                 )
                 tasks.append(task)
                 heapq.heappush(self._heap, (self.now, next(self._seq), task))
                 task.thread.start()
-            while self._heap:
-                when, _, task = heapq.heappop(self._heap)
-                if when > self.now:
-                    self.now = when
-                self.events_processed += 1
-                self._control.clear()
-                self._current = task
-                task.resume.set()
-                self._control.wait()
-                self._current = None
-                if task.finished:
-                    task.thread.join()
+            if tasks:
+                self._dispatch(heapq.heappop(self._heap)).gate.release()
+                self._drained.acquire()
+            for task in tasks:
+                task.thread.join()
         finally:
             self._running = False
         for task in tasks:
@@ -139,16 +152,21 @@ class Scheduler:
         return [task.result for task in tasks]
 
     def _task_main(self, task: _Task) -> None:
-        self._tasks_by_ident[threading.get_ident()] = task
-        task.resume.wait()
+        ident = threading.get_ident()
+        self._tasks_by_ident[ident] = task
+        task.gate.acquire()
         try:
             task.result = task.fn()
         except BaseException as exc:  # noqa: BLE001 - surfaced via SimTaskFailed
             task.error = exc
         finally:
-            task.finished = True
-            self._tasks_by_ident.pop(threading.get_ident(), None)
-            self._control.set()
+            del self._tasks_by_ident[ident]
+            # Every unfinished task has exactly one event queued, so an
+            # empty heap means this was the last one.
+            if self._heap:
+                self._dispatch(heapq.heappop(self._heap)).gate.release()
+            else:
+                self._drained.release()
 
 
 class SimClock(Clock):

@@ -44,11 +44,11 @@ from dataclasses import dataclass, field
 from ..core.retry import RetryPolicy, RetryStats
 from ..recovery.crashpoints import crashpoint
 from ..sim.clock import ambient_now_us, ambient_sleep
-from ..kvstore.base import Fields, KeyValueStore, StoreError
+from ..kvstore.base import Fields, KeyValueStore, StoreError, VersionedValue
 from .base import Transaction, TransactionManager, TxState
 from .clock import LocalClock, TimestampSource
 from .errors import TransactionAborted, TransactionConflict
-from .record import LockInfo, TxRecord
+from .record import TX_FIELD, LockInfo, TxRecord
 
 __all__ = ["ClientTransactionManager", "ClientTransaction", "TxnStats", "TSR_PREFIX"]
 
@@ -269,8 +269,25 @@ class ClientTransaction(Transaction):
         # Read set for serializable validation: address -> commit timestamp
         # of the version the snapshot saw (0 when the key was absent).
         self._reads: dict[_Address, int] = {}
+        # Decode cache: address -> (exact ``_tx`` body, its decoded record).
+        self._decoded: dict[_Address, tuple[str, TxRecord]] = {}
 
     # -- helpers ---------------------------------------------------------------------
+
+    def _decode(self, address: _Address, versioned: VersionedValue | None) -> TxRecord:
+        """Decode a ``get_with_meta`` result, at most once per distinct body.
+
+        Keyed on the exact body, never on the store version: a key that is
+        deleted and re-inserted starts its version count again.  Returns a
+        copy the caller may change.
+        """
+        if versioned is None:
+            return TxRecord()
+        body = versioned.value.get(TX_FIELD)
+        cached = self._decoded.get(address)
+        if cached is None or cached[0] != body:
+            cached = self._decoded[address] = (body, TxRecord.decode(versioned.value))
+        return cached[1].copy()
 
     def _address(self, key: str, store: str | None) -> _Address:
         name = store or self._manager.default_store_name
@@ -286,9 +303,7 @@ class ClientTransaction(Transaction):
         store = manager.store(address[0])
         for _ in range(manager.lock_wait_retries):
             versioned = manager._call(lambda: store.get_with_meta(address[1]))
-            if versioned is None:
-                return TxRecord()
-            record = TxRecord.decode(versioned.value)
+            record = self._decode(address, versioned)
             if record.lock is None:
                 return record
             if manager.resolve_lock(store, address[1]):
@@ -373,7 +388,7 @@ class ClientTransaction(Transaction):
         staged = self._writes[address]
         for _ in range(manager.lock_wait_retries):
             versioned = manager._call(lambda: store.get_with_meta(address[1]))
-            record = TxRecord() if versioned is None else TxRecord.decode(versioned.value)
+            record = self._decode(address, versioned)
             if record.lock is not None:
                 if record.lock.txid == self.txid:
                     # Already ours — a torn install (applied, error
@@ -403,10 +418,13 @@ class ClientTransaction(Transaction):
                 is_delete=staged is None,
             )
             expected = versioned.version if versioned is not None else None
+            encoded = record.encode()
             installed = manager._call(
-                lambda: store.put_if_version(address[1], record.encode(), expected)
+                lambda: store.put_if_version(address[1], encoded, expected)
             )
             if installed is not None:
+                # The commit re-reads this body; let it hit.
+                self._decoded[address] = (encoded[TX_FIELD], record)
                 self._held_locks.append(address)
                 manager.stats.bump("locks_acquired")
                 return
@@ -423,7 +441,7 @@ class ClientTransaction(Transaction):
             versioned = manager._call(lambda: store.get_with_meta(address[1]))
             if versioned is None:
                 return
-            record = TxRecord.decode(versioned.value)
+            record = self._decode(address, versioned)
             if record.lock is None or record.lock.txid != self.txid:
                 return
             record.lock = None
@@ -449,7 +467,7 @@ class ClientTransaction(Transaction):
             versioned = manager._call(lambda: store.get_with_meta(address[1]))
             if versioned is None:
                 return  # a peer rolled us forward and compacted; nothing to do
-            record = TxRecord.decode(versioned.value)
+            record = self._decode(address, versioned)
             if record.lock is None or record.lock.txid != self.txid:
                 return  # already rolled forward by a reader
             record.apply_commit(commit_ts, self._writes[address], txid=self.txid)
@@ -582,8 +600,8 @@ class ClientTransaction(Transaction):
             if address in self._writes:
                 continue  # locked and write-write checked already
             store = manager.store(address[0])
-            versioned = store.get_with_meta(address[1])
-            record = TxRecord() if versioned is None else TxRecord.decode(versioned.value)
+            versioned = manager._call(lambda: store.get_with_meta(address[1]))
+            record = self._decode(address, versioned)
             if record.lock is not None and record.lock.txid != self.txid:
                 manager.stats.bump("conflicts")
                 raise TransactionConflict(

@@ -160,6 +160,11 @@ class TxRecord:
     def is_locked(self) -> bool:
         return self.lock is not None
 
+    def copy(self) -> "TxRecord":
+        """A copy whose version list and lock can be changed independently;
+        the (frozen) versions and lock themselves are shared."""
+        return TxRecord(list(self.versions), self.lock, self.truncated_before)
+
     # -- mutation --------------------------------------------------------------
 
     def apply_commit(self, timestamp: int, fields: Fields | None, txid: str | None = None) -> None:

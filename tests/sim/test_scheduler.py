@@ -1,9 +1,16 @@
 """Scheduler semantics: deterministic interleaving of cooperative tasks."""
 
+import heapq
+import itertools
+from collections import Counter
+import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.sim import scheduler as scheduler_module
 from repro.sim.scheduler import Scheduler, SimClock, SimTaskFailed, VirtualResource
 
 
@@ -121,6 +128,139 @@ class TestScheduler:
         scheduler.run([task])
         assert time.monotonic() - before < 1.0
         assert scheduler.now == 10_000.0
+
+
+class _Boom(Exception):
+    pass
+
+
+def _reference(delays, raiser):
+    """Pure-heap model of :meth:`Scheduler.run` over the tasks built by
+    :func:`_tasks`: ``(log, events_processed, now, failed task or None)``."""
+    heap, seq = [], itertools.count()
+    now, events, log, failed = 0.0, 0, [], None
+    position = [0] * len(delays)
+    for index in range(len(delays)):
+        heapq.heappush(heap, (now, next(seq), index))
+    while heap:
+        when, _, index = heapq.heappop(heap)
+        if when > now:
+            now = when
+        events += 1
+        log.append((index, now))
+        step = position[index]
+        if raiser == (index, step):
+            failed = index
+        elif step < len(delays[index]):
+            heapq.heappush(heap, (now + delays[index][step], next(seq), index))
+            position[index] += 1
+    return log, events, now, failed
+
+
+def _tasks(scheduler, delays, raiser, log):
+    """Task ``i`` logs ``(i, now)`` on start and after each sleep of
+    ``delays[i]``; the raiser ``(i, k)`` raises in place of its k-th sleep."""
+
+    def make(index):
+        def task():
+            log.append((index, scheduler.now))
+            for step, delay in enumerate(delays[index]):
+                if raiser == (index, step):
+                    raise _Boom(index)
+                scheduler.sleep(delay)
+                log.append((index, scheduler.now))
+            if raiser == (index, len(delays[index])):
+                raise _Boom(index)
+
+        return task
+
+    return [make(index) for index in range(len(delays))]
+
+
+_delay = st.one_of(
+    st.just(0.0),
+    st.sampled_from([0.25, 0.5, 1.0]),  # exact in binary: ties are common
+    st.floats(min_value=0.0, max_value=2.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _task_sets(draw):
+    delays = draw(st.lists(st.lists(_delay, max_size=6), min_size=1, max_size=5))
+    raiser = None
+    if draw(st.booleans()):
+        index = draw(st.integers(0, len(delays) - 1))
+        raiser = (index, draw(st.integers(0, len(delays[index]))))
+    return delays, raiser
+
+
+class TestAgainstReferenceModel:
+    @given(_task_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_pure_heap_model(self, task_set):
+        delays, raiser = task_set
+        scheduler = Scheduler()
+        log = []
+        before = set(threading.enumerate())
+        failure = None
+        try:
+            scheduler.run(_tasks(scheduler, delays, raiser, log))
+        except SimTaskFailed as exc:
+            failure = exc.__cause__.args[0]
+        leftover = [t for t in threading.enumerate() if t not in before and t.name.startswith("sim:")]
+        assert leftover == []
+        assert (log, scheduler.events_processed, scheduler.now, failure) == _reference(
+            delays, raiser
+        )
+
+    def test_sleeper_that_is_its_own_next_event_keeps_running(self, monkeypatch):
+        """With every other task parked far ahead, a sleeping task pops its
+        own event and carries on: no gate is touched after its start."""
+        gate_calls = []
+        original_init = scheduler_module._Task.__init__
+
+        class CountingGate:
+            def __init__(self, name, lock):
+                self.name, self.lock = name, lock
+
+            def acquire(self):
+                gate_calls.append((self.name, "acquire"))
+                return self.lock.acquire()
+
+            def release(self):
+                gate_calls.append((self.name, "release"))
+                self.lock.release()
+
+        def init(task, name, fn):
+            original_init(task, name, fn)
+            task.gate = CountingGate(name, task.gate)
+
+        monkeypatch.setattr(scheduler_module._Task, "__init__", init)
+        scheduler = Scheduler()
+        log = []
+
+        def busy():
+            for _ in range(50):
+                scheduler.sleep(0.0)
+                scheduler.sleep(0.5)
+            log.append(("busy", scheduler.now))
+
+        def parked():
+            scheduler.sleep(1_000.0)
+            log.append(("parked", scheduler.now))
+
+        scheduler.run([busy, parked], names=["busy", "parked"])
+        assert log == [("busy", 25.0), ("parked", 1_000.0)]
+        assert scheduler.events_processed == 2 + 100 + 1
+        # Each side: its start-up acquire, one hand-off out and back (busy's
+        # first zero sleep queues behind parked's start event), one release
+        # to start it.  None of busy's other 99 sleeps touches a gate.
+        assert Counter(gate_calls) == {
+            ("busy", "acquire"): 2,
+            ("busy", "release"): 2,
+            ("parked", "acquire"): 2,
+            ("parked", "release"): 2,
+        }
 
 
 class TestVirtualResource:

@@ -319,6 +319,40 @@ class TestStoreErrorsAroundCommit:
         assert manager.retry_stats.retries == 1
         assert manager.counters()["TXN-RETRIES"] == 1
 
+    def test_manager_retry_policy_rides_through_validation_read_failure(self):
+        """Serializable validation re-reads the read set; a transient error
+        on that pure read is retried like any other, not turned into an
+        abort of a transaction that should commit."""
+
+        class FailFirstValidationRead(_FailFirstLockInstall):
+            armed = False
+
+            def get_with_meta(self, key):
+                if self.armed and not self.failed and key == "x":
+                    self.failed = True
+                    raise TransientStoreError("injected: validation read lost")
+                return self.inner.get_with_meta(key)
+
+            def put_if_version(self, key, value, expected_version):
+                return self.inner.put_if_version(key, value, expected_version)
+
+        store = FailFirstValidationRead(InMemoryKVStore())
+        policy = RetryPolicy(
+            max_attempts=4, base_delay_s=0.0, max_delay_s=0.0, sleep=noop_sleep
+        )
+        manager = make_manager(store, retry_policy=policy, isolation="serializable")
+        manager.run(lambda tx: (tx.write("x", {"f": "1"}), tx.write("y", {"f": "1"})))
+        tx = manager.begin()
+        tx.read("x")
+        tx.write("y", {"f": str(int(tx.read("y")["f"]) + 1)})
+        store.armed = True  # the next read of "x" is the validation read
+        tx.commit()
+        assert store.failed
+        assert tx.state.value == "committed"
+        assert manager.retry_stats.retries == 1
+        with manager.transaction() as reader:
+            assert reader.read("y") == {"f": "2"}
+
     def test_rollback_after_torn_lock_install_releases_the_lock(self):
         """A torn lock install absorbed by the retry layer re-enters
         ``_acquire_lock`` through the 'already ours' branch; the lock must
