@@ -29,41 +29,29 @@ violations.
 
 Unlike the sim campaigns a cluster run is wall-clock and therefore not
 bit-deterministic (thread scheduling is the OS's), but the *kill point*
-is: the measured phase runs as two exact halves via the client's
-``operation_count`` override, and the shard dies between them.
+is: the cycle is :func:`repro.campaign.kill_halfway`, which runs the
+measured phase as two exact halves and kills the shard between them.
 """
 
 from __future__ import annotations
 
-import json
-import time
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from ..bindings.kv import KVStoreDB
 from ..bindings.txn import TxnDB
-from ..core.client import Client
-from ..core.closed_economy import ClosedEconomyWorkload
+from ..campaign import Scenario, kill_halfway
 from ..core.properties import Properties
 from ..core.retry import RetryPolicy
-from ..core.workload import WorkloadError
-from ..kvstore.base import StoreError
-from ..measurements.exporters import JsonLinesExporter
-from ..measurements.registry import Measurements
 from ..recovery.campaign import DEFAULT_CRASH_PROPERTIES
-from ..recovery.scavenger import TxnScavenger
 from .cluster import ShardCluster
-from .twopc import recover_coordinator
 
 __all__ = [
     "DEFAULT_CLUSTER_PROPERTIES",
     "CLUSTER_BINDINGS",
     "ClusterRunResult",
-    "ClusterCampaignResult",
     "run_cluster",
-    "run_cluster_campaign",
-    "write_cluster_violation_trace",
 ]
 
 #: The crash campaign's CEW over the wire: latency injection dropped (a
@@ -80,26 +68,6 @@ DEFAULT_CLUSTER_PROPERTIES: dict[str, str] = {
 }
 
 CLUSTER_BINDINGS = ("raw", "txn")
-
-
-class _NoValidation:
-    """A workload view whose validation stage is a no-op.
-
-    The client validates at the end of every phase, and validation scans
-    the whole cluster — which cannot work while a shard is deliberately
-    dead.  The degraded half of the run executes through this delegating
-    wrapper; shared workload state (key chooser, operation mix, escrow)
-    lives in the wrapped instance, so the two halves are one workload.
-    """
-
-    def __init__(self, workload: ClosedEconomyWorkload):
-        self._workload = workload
-
-    def __getattr__(self, name: str):
-        return getattr(self._workload, name)
-
-    def validate(self, db) -> None:
-        return None
 
 
 @dataclass
@@ -133,6 +101,8 @@ class ClusterRunResult:
     properties: dict[str, str]
     errors: list[str] = field(default_factory=list)
 
+    group_by = "binding"
+
     @property
     def transactional(self) -> bool:
         return self.binding != "raw"
@@ -143,10 +113,73 @@ class ClusterRunResult:
         return not self.post_passed or self.post_gamma > 0.0 or self.residual_locks > 0
 
     @property
+    def fails(self) -> bool:
+        """Raw leaks across a dead shard are the expected baseline; a
+        transactional violation means 2PC recovery broke its promise."""
+        return self.violation and self.transactional
+
+    def failure(self) -> str:
+        return (
+            f"post-recovery violation on "
+            f"{self.binding}/shards{self.shard_count}/{self.seed}"
+        )
+
+    @property
     def throughput(self) -> float:
         return (
             self.operations / self.wall_time_s if self.wall_time_s > 0 else 0.0
         )
+
+    @staticmethod
+    def summarize(runs: list[ClusterRunResult]) -> str:
+        violations = sum(1 for run in runs if run.violation)
+        kills = sum(1 for run in runs if run.killed_shard is not None)
+        max_post = max(run.post_gamma for run in runs)
+        wall = sum(run.wall_time_s for run in runs)
+        return (
+            f"{len(runs)} runs, {kills} shard kills, "
+            f"{violations} post-recovery violations, "
+            f"max post-gamma {max_post:.6f}, {wall:.2f} wall s"
+        )
+
+    def trace_name(self) -> str:
+        return (
+            f"cluster-violation-{self.binding}-shards{self.shard_count}"
+            f"-seed{self.seed}.json"
+        )
+
+    def trace_payload(self) -> dict[str, object]:
+        """The replayable artifact for a run recovery failed to repair."""
+        return {
+            "kind": "ycsbt-cluster-violation",
+            "binding": self.binding,
+            "seed": self.seed,
+            "shard_count": self.shard_count,
+            "killed_shard": self.killed_shard,
+            "healthy_operations": self.healthy_operations,
+            "degraded_operations": self.degraded_operations,
+            "pre_recovery": {"gamma": self.pre_gamma, "passed": self.pre_passed},
+            "post_recovery": {
+                "gamma": self.post_gamma,
+                "passed": self.post_passed,
+                "validation": [list(pair) for pair in self.post_validation_fields],
+                "residual_locks": self.residual_locks,
+            },
+            "coordinator_recovery": self.recovery,
+            "scavenger": self.scavenger_counters,
+            "operations": self.operations,
+            "failed_operations": self.failed_operations,
+            "wall_time_s": self.wall_time_s,
+            "counters": self.counters,
+            "properties": self.properties,
+            "replay": {
+                "command": (
+                    f"ycsbt cluster --db {self.binding} --shards {self.shard_count} "
+                    f"--seeds 1 --start-seed {self.seed}"
+                ),
+            },
+            "errors": self.errors,
+        }
 
     def summary_line(self) -> str:
         flag = "VIOLATION" if self.violation else "ok"
@@ -171,6 +204,37 @@ def _cluster_properties(base: Mapping[str, str] | None, seed: int) -> Properties
     return Properties(values)
 
 
+class _ShardKill(Scenario):
+    """Kill the seed-chosen shard server; restart it with its store intact."""
+
+    def __init__(self, binding: str, shard_count: int, seed: int):
+        self.binding = binding
+        self.shard_count = shard_count
+        self.seed = seed
+        self.killed_shard: str | None = None
+
+    @contextmanager
+    def build(self, props: Properties):
+        with ShardCluster(
+            self.shard_count,
+            lock_lease_ms=props.get_float("txn.lock_lease_ms", 1000.0),
+            retry_policy_factory=lambda: RetryPolicy.from_properties(props),
+        ) as self.cluster:
+            if self.binding == "txn":
+                self.manager = self.cluster.manager(client_id=f"cluster{self.seed}")
+                yield lambda: TxnDB(props, manager=self.manager)
+            else:
+                router = self.cluster.router()
+                yield lambda: KVStoreDB(router, props)
+
+    def inject(self) -> None:
+        self.killed_shard = self.cluster.shard_names[self.seed % self.shard_count]
+        self.cluster.kill_shard(self.killed_shard)
+
+    def heal(self) -> None:
+        self.cluster.restart_shard(self.killed_shard)
+
+
 def run_cluster(
     binding: str = "txn",
     shard_count: int = 4,
@@ -193,229 +257,13 @@ def run_cluster(
             f"unknown cluster binding {binding!r}; use one of {CLUSTER_BINDINGS}"
         )
     props = _cluster_properties(properties, seed)
-    lease_ms = props.get_float("txn.lock_lease_ms", 1000.0)
-    wall_started = time.perf_counter()
-    with ShardCluster(
-        shard_count,
-        lock_lease_ms=lease_ms,
-        retry_policy_factory=lambda: RetryPolicy.from_properties(props),
-    ) as cluster:
-        manager = None
-        if binding == "txn":
-            manager = cluster.manager(client_id=f"cluster{seed}")
-            db_factory = lambda: TxnDB(props, manager=manager)  # noqa: E731
-        else:
-            router = cluster.router()
-            db_factory = lambda: KVStoreDB(router, props)  # noqa: E731
-
-        workload = ClosedEconomyWorkload()
-        measurements = Measurements.from_properties(props)
-        workload.init(props, measurements)
-        client = Client(workload, db_factory, props, measurements)
-        load = client.load()
-
-        total_ops = props.get_int("operationcount", 400)
-        healthy_ops = max(1, int(total_ops * kill_fraction)) if kill else total_ops
-        degraded_ops = total_ops - healthy_ops
-
-        healthy = client.run(operation_count=healthy_ops)
-        errors = list(load.errors) + list(healthy.errors)
-        operations = healthy.operations
-        failed = healthy.failed_operations
-
-        killed_shard = None
-        degraded_count = 0
-        if kill and degraded_ops > 0:
-            killed_shard = cluster.shard_names[seed % shard_count]
-            cluster.kill_shard(killed_shard)
-            # Same workload, same db factory, same measurements — but no
-            # validation stage, which cannot scan through a dead shard.
-            degraded_client = Client(
-                _NoValidation(workload), db_factory, props, measurements
-            )
-            degraded = degraded_client.run(operation_count=degraded_ops)
-            errors.extend(degraded.errors)
-            operations += degraded.operations
-            failed += degraded.failed_operations
-            degraded_count = degraded.operations
-            cluster.restart_shard(killed_shard)
-
-        # -- recovery: expire leases, replay the WAL, scavenge -------------
-        recovery: dict[str, int] = {}
-        scavenger_counters: dict[str, int] = {}
-        residual_locks = 0
-        if manager is not None:
-            if killed_shard is not None:
-                time.sleep(lease_ms / 1000.0 + lease_margin_s)
-            recovery = recover_coordinator(manager)
-            scavenger = TxnScavenger(manager)
-            scavenger.scavenge_once()
-            verify = scavenger.scavenge_once(remove_orphan_tsrs=False)
-            residual_locks = verify.locks_seen
-            scavenger_counters = {
-                name: value for name, value in scavenger.counters().items() if value
-            }
-            for name, value in scavenger_counters.items():
-                measurements.set_counter(name, value)
-
-        # -- post-recovery validation: the campaign's verdict --------------
-        post_db = db_factory()
-        post_db.init()
-        try:
-            post_validation = workload.validate(post_db)
-        except (WorkloadError, StoreError) as exc:
-            errors.append(f"post-validation: {type(exc).__name__}: {exc}")
-            post_validation = None
-        finally:
-            post_db.cleanup()
-        workload.cleanup()
-
-        counters = {
-            name: int(value) for name, value in measurements.counters().items()
-        }
-        if manager is not None:
-            counters.update(
-                {name: value for name, value in manager.counters().items() if value}
-            )
-        report_jsonl = JsonLinesExporter().export(healthy.report())
-    wall_time_s = time.perf_counter() - wall_started
+    scenario = _ShardKill(binding, shard_count, seed)
+    cycle = kill_halfway(scenario, props, kill, kill_fraction, lease_margin_s)
     return ClusterRunResult(
         binding=binding,
         seed=seed,
         shard_count=shard_count,
-        killed_shard=killed_shard,
-        healthy_operations=healthy.operations,
-        degraded_operations=degraded_count,
-        pre_gamma=healthy.anomaly_score if healthy.anomaly_score is not None else 0.0,
-        pre_passed=healthy.validation.passed if healthy.validation else False,
-        post_gamma=post_validation.anomaly_score if post_validation else 1.0,
-        post_passed=post_validation.passed if post_validation else False,
-        post_validation_fields=[
-            (str(name), str(value)) for name, value in post_validation.fields
-        ]
-        if post_validation
-        else [],
-        residual_locks=residual_locks,
-        recovery=recovery,
-        scavenger_counters=scavenger_counters,
-        operations=operations,
-        failed_operations=failed,
-        wall_time_s=wall_time_s,
-        counters=counters,
-        report_jsonl=report_jsonl,
+        killed_shard=scenario.killed_shard,
         properties=props.as_dict(),
-        errors=errors,
+        **cycle,
     )
-
-
-def write_cluster_violation_trace(result: ClusterRunResult, directory: str | Path) -> Path:
-    """Write the replayable artifact for a run recovery failed to repair."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    payload: dict[str, object] = {
-        "kind": "ycsbt-cluster-violation",
-        "binding": result.binding,
-        "seed": result.seed,
-        "shard_count": result.shard_count,
-        "killed_shard": result.killed_shard,
-        "healthy_operations": result.healthy_operations,
-        "degraded_operations": result.degraded_operations,
-        "pre_recovery": {"gamma": result.pre_gamma, "passed": result.pre_passed},
-        "post_recovery": {
-            "gamma": result.post_gamma,
-            "passed": result.post_passed,
-            "validation": [list(pair) for pair in result.post_validation_fields],
-            "residual_locks": result.residual_locks,
-        },
-        "coordinator_recovery": result.recovery,
-        "scavenger": result.scavenger_counters,
-        "operations": result.operations,
-        "failed_operations": result.failed_operations,
-        "wall_time_s": result.wall_time_s,
-        "counters": result.counters,
-        "properties": result.properties,
-        "replay": {
-            "command": (
-                f"ycsbt cluster --db {result.binding} --shards {result.shard_count} "
-                f"--seeds 1 --start-seed {result.seed}"
-            ),
-        },
-        "errors": result.errors,
-    }
-    path = directory / (
-        f"cluster-violation-{result.binding}-shards{result.shard_count}"
-        f"-seed{result.seed}.json"
-    )
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-@dataclass
-class ClusterCampaignResult:
-    """All runs of one cluster campaign plus the violations it surfaced."""
-
-    runs: list[ClusterRunResult]
-    artifacts: list[Path] = field(default_factory=list)
-
-    @property
-    def violations(self) -> list[ClusterRunResult]:
-        return [run for run in self.runs if run.violation]
-
-    @property
-    def transactional_violations(self) -> list[ClusterRunResult]:
-        """The failures that fail the campaign: 2PC recovery broke its promise."""
-        return [run for run in self.runs if run.transactional and run.violation]
-
-    def by_binding(self, binding: str) -> list[ClusterRunResult]:
-        return [run for run in self.runs if run.binding == binding]
-
-    def summary(self) -> str:
-        lines = []
-        for binding in sorted({run.binding for run in self.runs}):
-            runs = self.by_binding(binding)
-            violations = [run for run in runs if run.violation]
-            kills = sum(1 for run in runs if run.killed_shard is not None)
-            max_post = max((run.post_gamma for run in runs), default=0.0)
-            wall = sum(run.wall_time_s for run in runs)
-            lines.append(
-                f"{binding}: {len(runs)} runs, {kills} shard kills, "
-                f"{len(violations)} post-recovery violations, "
-                f"max post-gamma {max_post:.6f}, {wall:.2f} wall s"
-            )
-        return "\n".join(lines)
-
-
-def run_cluster_campaign(
-    seeds: Sequence[int],
-    bindings: Sequence[str] = ("raw", "txn"),
-    shard_counts: Sequence[int] = (4,),
-    properties: Mapping[str, str] | None = None,
-    kill: bool = True,
-    out_dir: str | Path | None = None,
-    on_result=None,
-) -> ClusterCampaignResult:
-    """Sweep seeds x shard counts x bindings; artifacts for violations.
-
-    Only *transactional* post-recovery violations should fail a CI job —
-    the raw binding leaking money across a dead shard is the expected
-    baseline, not a bug (see the CLI's exit-code rule).
-    """
-    result = ClusterCampaignResult(runs=[])
-    for shard_count in shard_counts:
-        for binding in bindings:
-            for seed in seeds:
-                run = run_cluster(
-                    binding=binding,
-                    shard_count=shard_count,
-                    properties=properties,
-                    seed=seed,
-                    kill=kill,
-                )
-                result.runs.append(run)
-                if run.violation and out_dir is not None:
-                    result.artifacts.append(
-                        write_cluster_violation_trace(run, out_dir)
-                    )
-                if on_result is not None:
-                    on_result(run)
-    return result

@@ -36,82 +36,79 @@ not a full resync.
 
 from __future__ import annotations
 
-import json
 import tempfile
-import time
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
-from pathlib import Path
+from collections.abc import Mapping
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 from ..bindings.kv import KVStoreDB
 from ..bindings.txn import TxnDB
-from ..core.client import Client
-from ..core.closed_economy import ClosedEconomyWorkload
-from ..core.workload import WorkloadError
-from ..kvstore.base import StoreError
-from ..measurements.exporters import JsonLinesExporter
-from ..measurements.registry import Measurements
-from ..recovery.scavenger import TxnScavenger
-from .campaign import CLUSTER_BINDINGS, _cluster_properties, _NoValidation
+from ..campaign import Scenario, kill_halfway
+from ..core.properties import Properties
+from .campaign import CLUSTER_BINDINGS, ClusterRunResult, _cluster_properties
 from .replicated import ReplicatedShardHttpCluster
-from .twopc import recover_coordinator
 
 __all__ = [
     "ReplicatedRunResult",
-    "ReplicatedCampaignResult",
     "run_replicated_cluster",
-    "run_replicated_campaign",
-    "write_replicated_violation_trace",
 ]
 
 
-@dataclass
-class ReplicatedRunResult:
-    """One load → run → kill-leader → run → failover → recover cycle."""
+@dataclass(kw_only=True)
+class ReplicatedRunResult(ClusterRunResult):
+    """One load → run → kill-leader → run → failover → recover cycle.
 
-    binding: str
-    seed: int
-    shard_count: int
+    ``killed_shard`` is the shard whose leader was killed; the verdict and
+    the exit rule are the cluster campaign's, now through a leader change.
+    """
+
     follower_count: int
     level: str
-    #: the shard whose leader was killed, or None for a fault-free run.
-    killed_shard: str | None
-    #: the member (node name) that was killed.
+    #: the member (node name) that was killed, or None for a fault-free run.
     killed_member: str | None
     #: failover outcome: new leader, term, records lost at promotion.
     failover: dict
     #: rejoin outcome for the dead member ("catch-up" vs "resync").
     rejoin: dict
-    healthy_operations: int
-    degraded_operations: int
-    pre_gamma: float
-    pre_passed: bool
-    post_gamma: float
-    post_passed: bool
-    post_validation_fields: list[tuple[str, str]]
-    residual_locks: int
-    recovery: dict[str, int]
-    scavenger_counters: dict[str, int]
-    operations: int
-    failed_operations: int
-    wall_time_s: float
-    counters: dict[str, int]
-    report_jsonl: str
-    properties: dict[str, str]
-    errors: list[str] = field(default_factory=list)
 
-    @property
-    def transactional(self) -> bool:
-        return self.binding != "raw"
+    @staticmethod
+    def summarize(runs: list[ReplicatedRunResult]) -> str:
+        violations = sum(1 for run in runs if run.violation)
+        kills = sum(1 for run in runs if run.killed_member is not None)
+        catchups = sum(1 for run in runs if run.rejoin.get("mode") == "catch-up")
+        max_post = max(run.post_gamma for run in runs)
+        wall = sum(run.wall_time_s for run in runs)
+        return (
+            f"{len(runs)} runs, {kills} leader kills, "
+            f"{catchups} catch-up rejoins, "
+            f"{violations} post-recovery violations, "
+            f"max post-gamma {max_post:.6f}, {wall:.2f} wall s"
+        )
 
-    @property
-    def violation(self) -> bool:
-        """True when failover + recovery failed to restore consistency."""
-        return not self.post_passed or self.post_gamma > 0.0 or self.residual_locks > 0
+    def trace_name(self) -> str:
+        return (
+            f"replicated-violation-{self.binding}-shards{self.shard_count}"
+            f"-seed{self.seed}.json"
+        )
 
-    @property
-    def throughput(self) -> float:
-        return self.operations / self.wall_time_s if self.wall_time_s > 0 else 0.0
+    def trace_payload(self) -> dict[str, object]:
+        return {
+            **super().trace_payload(),
+            "kind": "ycsbt-replicated-cluster-violation",
+            "follower_count": self.follower_count,
+            "level": self.level,
+            "killed_member": self.killed_member,
+            "failover": self.failover,
+            "rejoin": self.rejoin,
+            "replay": {
+                "command": (
+                    f"ycsbt replicated-cluster --db {self.binding} "
+                    f"--shards {self.shard_count} "
+                    f"--followers {self.follower_count} "
+                    f"--seeds 1 --start-seed {self.seed}"
+                ),
+            },
+        }
 
     def summary_line(self) -> str:
         flag = "VIOLATION" if self.violation else "ok"
@@ -130,6 +127,51 @@ class ReplicatedRunResult:
         )
 
 
+class _ShardLeaderKill(Scenario):
+    """Kill one shard's leader; fail over on the lease and rejoin the dead
+    member as a follower by log catch-up."""
+
+    def __init__(
+        self, binding: str, shard_count: int, follower_count: int, level: str, seed: int
+    ):
+        self.binding = binding
+        self.shard_count = shard_count
+        self.follower_count = follower_count
+        self.level = level
+        self.seed = seed
+        self.killed_shard: str | None = None
+        self.killed_member: str | None = None
+        self.failover: dict = {}
+        self.rejoin: dict = {}
+
+    @contextmanager
+    def build(self, props: Properties):
+        with ReplicatedShardHttpCluster(
+            self.shard_count,
+            follower_count=self.follower_count,
+            lock_lease_ms=props.get_float("txn.lock_lease_ms", 1000.0),
+            log_dir=tempfile.mkdtemp(prefix=f"ycsbt-repl-log-{self.seed}-"),
+            seed=self.seed,
+        ) as self.cluster:
+            if self.binding == "txn":
+                self.manager = self.cluster.manager(client_id=f"replcluster{self.seed}")
+                yield lambda: TxnDB(props, manager=self.manager)
+            else:
+                routed = self.cluster.routed(self.level)
+                yield lambda: KVStoreDB(routed, props)
+
+    def inject(self) -> None:
+        self.killed_shard = self.cluster.shard_names[self.seed % self.shard_count]
+        self.killed_member = self.cluster.kill_leader(self.killed_shard)
+
+    def heal(self) -> None:
+        # Recovery then replays the coordinator WAL against a *different*
+        # leader than the one its in-doubt transactions prepared on.
+        self.failover = self.cluster.failover(self.killed_shard)
+        self.rejoin = self.cluster.rejoin(self.killed_shard, self.killed_member)
+        self.cluster.wait_caught_up(timeout_s=10.0)
+
+
 def run_replicated_cluster(
     binding: str = "txn",
     shard_count: int = 2,
@@ -143,272 +185,28 @@ def run_replicated_cluster(
 ) -> ReplicatedRunResult:
     """One leader-failover crash/recovery cycle; the campaign's unit of work.
 
-    The measured phase runs as two exact halves via the client's
-    ``operation_count`` override: ``kill_fraction`` of the operations
-    against the healthy cluster, then — with the seed-chosen shard's
-    leader killed — the rest against the leaderless shard.  Failover,
-    rejoin, and recovery happen after the degraded half, so the
-    coordinator WAL replays against a *different* leader than the one
-    its in-doubt transactions prepared on.  ``level`` sets the raw
-    binding's read consistency (the txn binding always routes through
-    shard leaders).
+    ``kill_fraction`` of the operations run against the healthy cluster,
+    the rest with the seed-chosen shard's leader killed.  ``level`` sets
+    the raw binding's read consistency (the txn binding always routes
+    through shard leaders).
     """
     if binding not in CLUSTER_BINDINGS:
         raise ValueError(
             f"unknown cluster binding {binding!r}; use one of {CLUSTER_BINDINGS}"
         )
     props = _cluster_properties(properties, seed)
-    lease_ms = props.get_float("txn.lock_lease_ms", 1000.0)
-    log_dir = tempfile.mkdtemp(prefix=f"ycsbt-repl-log-{seed}-")
-    wall_started = time.perf_counter()
-    with ReplicatedShardHttpCluster(
-        shard_count,
-        follower_count=follower_count,
-        lock_lease_ms=lease_ms,
-        log_dir=log_dir,
-        seed=seed,
-    ) as cluster:
-        manager = None
-        if binding == "txn":
-            manager = cluster.manager(client_id=f"replcluster{seed}")
-            db_factory = lambda: TxnDB(props, manager=manager)  # noqa: E731
-        else:
-            routed = cluster.routed(level)
-            db_factory = lambda: KVStoreDB(routed, props)  # noqa: E731
-
-        workload = ClosedEconomyWorkload()
-        measurements = Measurements.from_properties(props)
-        workload.init(props, measurements)
-        client = Client(workload, db_factory, props, measurements)
-        load = client.load()
-
-        total_ops = props.get_int("operationcount", 400)
-        healthy_ops = max(1, int(total_ops * kill_fraction)) if kill else total_ops
-        degraded_ops = total_ops - healthy_ops
-
-        healthy = client.run(operation_count=healthy_ops)
-        errors = list(load.errors) + list(healthy.errors)
-        operations = healthy.operations
-        failed = healthy.failed_operations
-
-        killed_shard = None
-        killed_member = None
-        failover_info: dict = {}
-        rejoin_info: dict = {}
-        degraded_count = 0
-        if kill and degraded_ops > 0:
-            killed_shard = cluster.shard_names[seed % shard_count]
-            killed_member = cluster.kill_leader(killed_shard)
-            # Same workload, same db factory, same measurements — but no
-            # validation stage, which cannot scan a leaderless shard.
-            degraded_client = Client(
-                _NoValidation(workload), db_factory, props, measurements
-            )
-            degraded = degraded_client.run(operation_count=degraded_ops)
-            errors.extend(degraded.errors)
-            operations += degraded.operations
-            failed += degraded.failed_operations
-            degraded_count = degraded.operations
-            failover_info = cluster.failover(killed_shard)
-            rejoin_info = cluster.rejoin(killed_shard, killed_member)
-            cluster.wait_caught_up(timeout_s=10.0)
-
-        # -- recovery: expire leases, replay the WAL, scavenge -------------
-        recovery: dict[str, int] = {}
-        scavenger_counters: dict[str, int] = {}
-        residual_locks = 0
-        if manager is not None:
-            if killed_shard is not None:
-                time.sleep(lease_ms / 1000.0 + lease_margin_s)
-            recovery = recover_coordinator(manager)
-            scavenger = TxnScavenger(manager)
-            scavenger.scavenge_once()
-            verify = scavenger.scavenge_once(remove_orphan_tsrs=False)
-            residual_locks = verify.locks_seen
-            scavenger_counters = {
-                name: value for name, value in scavenger.counters().items() if value
-            }
-            for name, value in scavenger_counters.items():
-                measurements.set_counter(name, value)
-
-        # -- post-recovery validation: the campaign's verdict --------------
-        post_db = db_factory()
-        post_db.init()
-        try:
-            post_validation = workload.validate(post_db)
-        except (WorkloadError, StoreError) as exc:
-            errors.append(f"post-validation: {type(exc).__name__}: {exc}")
-            post_validation = None
-        finally:
-            post_db.cleanup()
-        workload.cleanup()
-
-        counters = {
-            name: int(value) for name, value in measurements.counters().items()
-        }
-        if manager is not None:
-            counters.update(
-                {name: value for name, value in manager.counters().items() if value}
-            )
-        report_jsonl = JsonLinesExporter().export(healthy.report())
-    wall_time_s = time.perf_counter() - wall_started
+    scenario = _ShardLeaderKill(binding, shard_count, follower_count, level, seed)
+    cycle = kill_halfway(scenario, props, kill, kill_fraction, lease_margin_s)
     return ReplicatedRunResult(
         binding=binding,
         seed=seed,
         shard_count=shard_count,
         follower_count=follower_count,
         level=level,
-        killed_shard=killed_shard,
-        killed_member=killed_member,
-        failover=failover_info,
-        rejoin=rejoin_info,
-        healthy_operations=healthy.operations,
-        degraded_operations=degraded_count,
-        pre_gamma=healthy.anomaly_score if healthy.anomaly_score is not None else 0.0,
-        pre_passed=healthy.validation.passed if healthy.validation else False,
-        post_gamma=post_validation.anomaly_score if post_validation else 1.0,
-        post_passed=post_validation.passed if post_validation else False,
-        post_validation_fields=[
-            (str(name), str(value)) for name, value in post_validation.fields
-        ]
-        if post_validation
-        else [],
-        residual_locks=residual_locks,
-        recovery=recovery,
-        scavenger_counters=scavenger_counters,
-        operations=operations,
-        failed_operations=failed,
-        wall_time_s=wall_time_s,
-        counters=counters,
-        report_jsonl=report_jsonl,
+        killed_shard=scenario.killed_shard,
+        killed_member=scenario.killed_member,
+        failover=scenario.failover,
+        rejoin=scenario.rejoin,
         properties=props.as_dict(),
-        errors=errors,
+        **cycle,
     )
-
-
-def write_replicated_violation_trace(
-    result: ReplicatedRunResult, directory: str | Path
-) -> Path:
-    """Write the replayable artifact for a run recovery failed to repair."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    payload: dict[str, object] = {
-        "kind": "ycsbt-replicated-cluster-violation",
-        "binding": result.binding,
-        "seed": result.seed,
-        "shard_count": result.shard_count,
-        "follower_count": result.follower_count,
-        "level": result.level,
-        "killed_shard": result.killed_shard,
-        "killed_member": result.killed_member,
-        "failover": result.failover,
-        "rejoin": result.rejoin,
-        "healthy_operations": result.healthy_operations,
-        "degraded_operations": result.degraded_operations,
-        "pre_recovery": {"gamma": result.pre_gamma, "passed": result.pre_passed},
-        "post_recovery": {
-            "gamma": result.post_gamma,
-            "passed": result.post_passed,
-            "validation": [list(pair) for pair in result.post_validation_fields],
-            "residual_locks": result.residual_locks,
-        },
-        "coordinator_recovery": result.recovery,
-        "scavenger": result.scavenger_counters,
-        "operations": result.operations,
-        "failed_operations": result.failed_operations,
-        "wall_time_s": result.wall_time_s,
-        "counters": result.counters,
-        "properties": result.properties,
-        "replay": {
-            "command": (
-                f"ycsbt replicated-cluster --db {result.binding} "
-                f"--shards {result.shard_count} "
-                f"--followers {result.follower_count} "
-                f"--seeds 1 --start-seed {result.seed}"
-            ),
-        },
-        "errors": result.errors,
-    }
-    path = directory / (
-        f"replicated-violation-{result.binding}-shards{result.shard_count}"
-        f"-seed{result.seed}.json"
-    )
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-@dataclass
-class ReplicatedCampaignResult:
-    """All runs of one replicated campaign plus the violations it surfaced."""
-
-    runs: list[ReplicatedRunResult]
-    artifacts: list[Path] = field(default_factory=list)
-
-    @property
-    def violations(self) -> list[ReplicatedRunResult]:
-        return [run for run in self.runs if run.violation]
-
-    @property
-    def transactional_violations(self) -> list[ReplicatedRunResult]:
-        """The failures that fail the campaign: 2PC + failover broke its promise."""
-        return [run for run in self.runs if run.transactional and run.violation]
-
-    def by_binding(self, binding: str) -> list[ReplicatedRunResult]:
-        return [run for run in self.runs if run.binding == binding]
-
-    def summary(self) -> str:
-        lines = []
-        for binding in sorted({run.binding for run in self.runs}):
-            runs = self.by_binding(binding)
-            violations = [run for run in runs if run.violation]
-            kills = sum(1 for run in runs if run.killed_member is not None)
-            catchups = sum(1 for run in runs if run.rejoin.get("mode") == "catch-up")
-            max_post = max((run.post_gamma for run in runs), default=0.0)
-            wall = sum(run.wall_time_s for run in runs)
-            lines.append(
-                f"{binding}: {len(runs)} runs, {kills} leader kills, "
-                f"{catchups} catch-up rejoins, "
-                f"{len(violations)} post-recovery violations, "
-                f"max post-gamma {max_post:.6f}, {wall:.2f} wall s"
-            )
-        return "\n".join(lines)
-
-
-def run_replicated_campaign(
-    seeds: Sequence[int],
-    bindings: Sequence[str] = ("raw", "txn"),
-    shard_counts: Sequence[int] = (2,),
-    follower_count: int = 2,
-    level: str = "strong",
-    properties: Mapping[str, str] | None = None,
-    kill: bool = True,
-    out_dir: str | Path | None = None,
-    on_result=None,
-) -> ReplicatedCampaignResult:
-    """Sweep seeds x shard counts x bindings; artifacts for violations.
-
-    Only *transactional* post-recovery violations should fail a CI job —
-    the raw binding leaking money across a leaderless shard is the
-    expected baseline, not a bug (see the CLI's exit-code rule).
-    """
-    result = ReplicatedCampaignResult(runs=[])
-    for shard_count in shard_counts:
-        for binding in bindings:
-            for seed in seeds:
-                run = run_replicated_cluster(
-                    binding=binding,
-                    shard_count=shard_count,
-                    follower_count=follower_count,
-                    level=level,
-                    properties=properties,
-                    seed=seed,
-                    kill=kill,
-                )
-                result.runs.append(run)
-                if run.violation and out_dir is not None:
-                    result.artifacts.append(
-                        write_replicated_violation_trace(run, out_dir)
-                    )
-                if on_result is not None:
-                    on_result(run)
-    return result

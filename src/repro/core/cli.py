@@ -88,6 +88,10 @@ _WORKLOAD_ALIASES = {
     "com.yahoo.ycsb.workloads.closedeconomyworkload": ClosedEconomyWorkload,
 }
 
+_NO_TRACE_HELP = (
+    "skip operation-interleaving capture (faster, artifacts carry no trace)"
+)
+
 _EXPORTERS = {
     "text": TextExporter,
     "json": JsonExporter,
@@ -208,12 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed-sweep campaign in virtual time: hunt for consistency "
         "violations and emit replayable traces",
     )
-    sim.add_argument(
-        "--seeds", type=int, default=20, help="number of seeds to sweep [20]"
-    )
-    sim.add_argument(
-        "--start-seed", type=int, default=0, help="first seed of the sweep [0]"
-    )
+    _add_sweep_args(sim, default_seeds=20)
     sim.add_argument(
         "--db",
         action="append",
@@ -228,26 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="fault schedule to sweep (repeatable) [baseline]",
     )
-    sim.add_argument(
-        "-p",
-        "--property",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="workload property override (repeatable)",
-    )
-    sim.add_argument(
-        "--out",
-        default=None,
-        metavar="DIR",
-        help="directory for violation trace artifacts (none written without it)",
-    )
-    sim.add_argument(
-        "--no-trace",
-        action="store_true",
-        help="skip operation-interleaving capture (faster, artifacts carry "
-        "no trace)",
-    )
+    sim.add_argument("--no-trace", action="store_true", help=_NO_TRACE_HELP)
 
     synth = commands.add_parser(
         "synth",
@@ -255,12 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scenarios (diurnal curves, flash crowds, drifting hot sets, "
         "multi-tenant mixes) into deterministic virtual-time runs",
     )
-    synth.add_argument(
-        "--seeds", type=int, default=5, help="number of seeds to sweep [5]"
-    )
-    synth.add_argument(
-        "--start-seed", type=int, default=0, help="first seed of the sweep [0]"
-    )
+    _add_sweep_args(synth, default_seeds=5, overrides=False)
     synth.add_argument(
         "--scenario",
         action="append",
@@ -291,12 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override every spec's simulated duration",
     )
     synth.add_argument(
-        "--out",
-        default=None,
-        metavar="DIR",
-        help="directory for violation trace artifacts (none written without it)",
-    )
-    synth.add_argument(
         "--list", action="store_true", help="list built-in scenarios and exit"
     )
 
@@ -307,12 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="crash-recovery campaign: kill clients at scheduled "
         "crashpoints, scavenge, re-validate the CEW invariants",
     )
-    crash.add_argument(
-        "--seeds", type=int, default=10, help="number of seeds to sweep [10]"
-    )
-    crash.add_argument(
-        "--start-seed", type=int, default=0, help="first seed of the sweep [0]"
-    )
+    _add_sweep_args(crash, default_seeds=10)
     crash.add_argument(
         "--db",
         action="append",
@@ -328,26 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="crash schedule to sweep (repeatable; 'seeded' derives one "
         "from each seed) [prewrite, primary-commit, mid-secondary, worker-kill]",
     )
-    crash.add_argument(
-        "-p",
-        "--property",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="workload property override (repeatable)",
-    )
-    crash.add_argument(
-        "--out",
-        default=None,
-        metavar="DIR",
-        help="directory for violation trace artifacts (none written without it)",
-    )
-    crash.add_argument(
-        "--no-trace",
-        action="store_true",
-        help="skip operation-interleaving capture (faster, artifacts carry "
-        "no trace)",
-    )
+    crash.add_argument("--no-trace", action="store_true", help=_NO_TRACE_HELP)
 
     from ..cluster.campaign import CLUSTER_BINDINGS
 
@@ -357,6 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         "with cross-shard 2PC, kill one shard mid-run, recover "
         "(WAL replay + scavenge), re-validate",
     )
+    _add_sweep_args(cluster, default_seeds=3)
     cluster.add_argument(
         "--shards",
         action="append",
@@ -364,12 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="shard count to sweep (repeatable) [4]",
-    )
-    cluster.add_argument(
-        "--seeds", type=int, default=3, help="number of seeds to sweep [3]"
-    )
-    cluster.add_argument(
-        "--start-seed", type=int, default=0, help="first seed of the sweep [0]"
     )
     cluster.add_argument(
         "--db",
@@ -383,20 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run fault-free (no shard is killed mid-run)",
     )
-    cluster.add_argument(
-        "-p",
-        "--property",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="workload property override (repeatable)",
-    )
-    cluster.add_argument(
-        "--out",
-        default=None,
-        metavar="DIR",
-        help="directory for violation artifacts (none written without it)",
-    )
 
     from ..replication.campaign import REPLICATION_LEVELS
 
@@ -406,6 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         "routed store at one or more consistency levels, kill the "
         "leader mid-run, fail over on the lease, rejoin, re-validate",
     )
+    _add_sweep_args(replication, default_seeds=3)
     replication.add_argument(
         "--level",
         action="append",
@@ -417,29 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--followers", type=int, default=2, help="follower count [2]"
     )
     replication.add_argument(
-        "--seeds", type=int, default=3, help="number of seeds to sweep [3]"
-    )
-    replication.add_argument(
-        "--start-seed", type=int, default=0, help="first seed of the sweep [0]"
-    )
-    replication.add_argument(
         "--no-kill",
         action="store_true",
         help="run fault-free (the leader survives the whole run)",
-    )
-    replication.add_argument(
-        "-p",
-        "--property",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="workload property override (repeatable)",
-    )
-    replication.add_argument(
-        "--out",
-        default=None,
-        metavar="DIR",
-        help="directory for violation artifacts (none written without it)",
     )
 
     replicated = commands.add_parser(
@@ -449,6 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         "leader mid-run, fail over on the lease, rejoin, replay the "
         "coordinator WAL through the new leader, re-validate",
     )
+    _add_sweep_args(replicated, default_seeds=3)
     replicated.add_argument(
         "--shards",
         action="append",
@@ -467,12 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="read consistency for the raw binding's routed store [strong]",
     )
     replicated.add_argument(
-        "--seeds", type=int, default=3, help="number of seeds to sweep [3]"
-    )
-    replicated.add_argument(
-        "--start-seed", type=int, default=0, help="first seed of the sweep [0]"
-    )
-    replicated.add_argument(
         "--db",
         action="append",
         choices=CLUSTER_BINDINGS,
@@ -483,20 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-kill",
         action="store_true",
         help="run fault-free (every shard leader survives the whole run)",
-    )
-    replicated.add_argument(
-        "-p",
-        "--property",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="workload property override (repeatable)",
-    )
-    replicated.add_argument(
-        "--out",
-        default=None,
-        metavar="DIR",
-        help="directory for violation artifacts (none written without it)",
     )
 
     exp = commands.add_parser(
@@ -564,15 +452,52 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _gather_properties(args: argparse.Namespace) -> Properties:
-    properties = Properties()
-    for path in args.property_file:
-        properties.update(load_properties(path))
+def _add_sweep_args(
+    parser: argparse.ArgumentParser, default_seeds: int, overrides: bool = True
+) -> None:
+    """The flags every campaign shares (``synth`` takes no ``-p``)."""
+    parser.add_argument(
+        "--seeds",
+        type=int,
+        default=default_seeds,
+        help=f"number of seeds to sweep [{default_seeds}]",
+    )
+    parser.add_argument(
+        "--start-seed", type=int, default=0, help="first seed of the sweep [0]"
+    )
+    if overrides:
+        parser.add_argument(
+            "-p",
+            "--property",
+            action="append",
+            default=[],
+            metavar="KEY=VALUE",
+            help="workload property override (repeatable)",
+        )
+    parser.add_argument(
+        "--out",
+        default=None,
+        metavar="DIR",
+        help="directory for violation trace artifacts (none written without it)",
+    )
+
+
+def _parse_overrides(args: argparse.Namespace) -> dict[str, str]:
+    overrides: dict[str, str] = {}
     for pair in args.property:
         key, separator, value = pair.partition("=")
         if not separator:
             raise SystemExit(f"bad -p argument {pair!r}: expected KEY=VALUE")
-        properties.set(key.strip(), value.strip())
+        overrides[key.strip()] = value.strip()
+    return overrides
+
+
+def _gather_properties(args: argparse.Namespace) -> Properties:
+    properties = Properties()
+    for path in args.property_file:
+        properties.update(load_properties(path))
+    for key, value in _parse_overrides(args).items():
+        properties.set(key, value)
     if args.threads is not None:
         properties.set("threadcount", args.threads)
     if args.target is not None:
@@ -803,276 +728,147 @@ def _experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sim(args: argparse.Namespace) -> int:
-    from ..sim.campaign import SIM_BINDINGS, run_campaign
-
+def _seeds(args: argparse.Namespace) -> range:
     if args.seeds < 1:
         raise SystemExit(f"--seeds must be >= 1, got {args.seeds}")
-    overrides: dict[str, str] = {}
-    for pair in args.property:
-        key, separator, value = pair.partition("=")
-        if not separator:
-            raise SystemExit(f"bad -p argument {pair!r}: expected KEY=VALUE")
-        overrides[key.strip()] = value.strip()
-    bindings = tuple(dict.fromkeys(args.db)) if args.db else SIM_BINDINGS
-    schedules = tuple(dict.fromkeys(args.schedule)) if args.schedule else ("baseline",)
-    seeds = range(args.start_seed, args.start_seed + args.seeds)
+    return range(args.start_seed, args.start_seed + args.seeds)
 
-    result = run_campaign(
-        seeds,
-        bindings=bindings,
-        schedules=schedules,
-        properties=overrides or None,
-        out_dir=args.out,
-        trace=not args.no_trace,
-        on_result=lambda run: print(run.summary_line(), file=sys.stderr),
-    )
-    print(result.summary())
-    for artifact in result.artifacts:
+
+def _axis(values, default: tuple) -> tuple:
+    """A repeatable flag's values, duplicates dropped, or ``default``."""
+    return tuple(dict.fromkeys(values)) if values else default
+
+
+def _shard_counts(args: argparse.Namespace, default: int) -> tuple[int, ...]:
+    shard_counts = _axis(args.shards, (default,))
+    if any(count < 1 for count in shard_counts):
+        raise SystemExit(f"--shards must be >= 1, got {shard_counts}")
+    return shard_counts
+
+
+def _followers(args: argparse.Namespace) -> int:
+    if args.followers < 1:
+        raise SystemExit(f"--followers must be >= 1, got {args.followers}")
+    return args.followers
+
+
+def _finish(campaign) -> int:
+    """Print the summary and artifact paths; exit 1 iff a run fails.
+
+    Which violations fail is the result type's rule (its ``fails``): a
+    raw binding leaking money is a finding, not a bug.
+    """
+    print(campaign.summary())
+    for artifact in campaign.artifacts:
         print(f"violation trace: {artifact}")
-    # Raw-binding violations are the campaign's *findings* (expected: that
-    # path has no transactions to protect it).  A transactional-binding
-    # violation is a consistency bug and fails the command.
-    txn_violations = [run for run in result.by_binding("txn") if run.violation]
-    if txn_violations:
-        seeds_hit = ", ".join(str(run.seed) for run in txn_violations)
-        print(
-            f"error: transactional binding violated on seed(s) {seeds_hit}",
-            file=sys.stderr,
+    for run in campaign.failures:
+        print(f"error: {run.failure()}", file=sys.stderr)
+    return 1 if campaign.failures else 0
+
+
+def _sweep(args: argparse.Namespace, axes, run) -> int:
+    from ..campaign import sweep
+
+    return _finish(
+        sweep(
+            axes,
+            _seeds(args),
+            run,
+            out_dir=args.out,
+            on_result=lambda result: print(result.summary_line(), file=sys.stderr),
         )
-        return 1
-    return 0
+    )
+
+
+def _sim(args: argparse.Namespace) -> int:
+    from ..sim.campaign import SIM_BINDINGS, run_sim
+
+    overrides = _parse_overrides(args)
+    return _sweep(
+        args,
+        [_axis(args.schedule, ("baseline",)), _axis(args.db, SIM_BINDINGS)],
+        lambda schedule, binding, seed: run_sim(
+            binding, overrides, seed, schedule, trace=not args.no_trace
+        ),
+    )
 
 
 def _synth(args: argparse.Namespace) -> int:
-    from ..synth import SCENARIOS, load_synth_spec, run_synth_campaign, scenario_names
+    from ..synth import SCENARIOS, load_synth_spec, scenario_names
+    from ..synth.engine import run_synth
 
     if args.list:
         for name in scenario_names():
             print(f"{name:<18} {SCENARIOS[name].description}")
         return 0
-    if args.seeds < 1:
-        raise SystemExit(f"--seeds must be >= 1, got {args.seeds}")
-    sources = list(args.scenario or []) + list(args.spec or [])
-    if not sources:
-        sources = ["steady"]
+    sources = list(args.scenario or []) + list(args.spec or []) or ["steady"]
     specs = [load_synth_spec(source) for source in dict.fromkeys(sources)]
     if args.duration is not None:
         specs = [spec.with_overrides(duration_s=args.duration) for spec in specs]
-    bindings = tuple(dict.fromkeys(args.db)) if args.db else None
-    seeds = range(args.start_seed, args.start_seed + args.seeds)
-
-    result = run_synth_campaign(
-        specs,
-        seeds,
-        bindings=bindings,
-        out_dir=args.out,
-        on_result=lambda run: print(run.summary_line(), file=sys.stderr),
+    # No --db: each spec runs on its own binding.
+    return _sweep(
+        args,
+        [specs, _axis(args.db, (None,))],
+        lambda spec, binding, seed: run_synth(spec, binding=binding, seed=seed),
     )
-    print(result.summary())
-    for artifact in result.artifacts:
-        print(f"violation trace: {artifact}")
-    # Unlike ``sim``, every synthesis assertion is expected to hold on
-    # both bindings (the engine is serial, so even raw stays consistent):
-    # any violation fails the command.
-    if result.violations:
-        for run in result.violations:
-            for outcome in run.failed_assertions():
-                print(
-                    f"error: {run.scenario}/{run.binding} seed {run.seed}: "
-                    f"{outcome.name}: {outcome.detail}",
-                    file=sys.stderr,
-                )
-        return 1
-    return 0
 
 
 def _crash(args: argparse.Namespace) -> int:
-    from ..recovery.campaign import run_crash_campaign
+    from ..recovery.campaign import run_crash
 
-    if args.seeds < 1:
-        raise SystemExit(f"--seeds must be >= 1, got {args.seeds}")
-    overrides: dict[str, str] = {}
-    for pair in args.property:
-        key, separator, value = pair.partition("=")
-        if not separator:
-            raise SystemExit(f"bad -p argument {pair!r}: expected KEY=VALUE")
-        overrides[key.strip()] = value.strip()
-    bindings = tuple(dict.fromkeys(args.db)) if args.db else ("raw", "txn")
-    schedules = (
-        tuple(dict.fromkeys(args.schedule))
-        if args.schedule
-        else ("prewrite", "primary-commit", "mid-secondary", "worker-kill")
+    overrides = _parse_overrides(args)
+    schedules = _axis(
+        args.schedule, ("prewrite", "primary-commit", "mid-secondary", "worker-kill")
     )
-    seeds = range(args.start_seed, args.start_seed + args.seeds)
-
-    result = run_crash_campaign(
-        seeds,
-        bindings=bindings,
-        schedules=schedules,
-        properties=overrides or None,
-        out_dir=args.out,
-        trace=not args.no_trace,
-        on_result=lambda run: print(run.summary_line(), file=sys.stderr),
+    return _sweep(
+        args,
+        [schedules, _axis(args.db, ("raw", "txn"))],
+        lambda schedule, binding, seed: run_crash(
+            binding, overrides, seed, schedule, trace=not args.no_trace
+        ),
     )
-    print(result.summary())
-    for artifact in result.artifacts:
-        print(f"violation trace: {artifact}")
-    # The raw binding leaking money when a client dies mid-transfer is the
-    # campaign's expected baseline.  A *transactional* binding failing
-    # post-recovery validation means the scavenger broke its promise — that
-    # fails the command.
-    txn_violations = result.transactional_violations
-    if txn_violations:
-        seeds_hit = ", ".join(
-            f"{run.binding}/{run.schedule}/{run.seed}" for run in txn_violations
-        )
-        print(
-            f"error: post-recovery violation on {seeds_hit}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
 
 
 def _cluster(args: argparse.Namespace) -> int:
-    from ..cluster.campaign import run_cluster_campaign
+    from ..cluster.campaign import run_cluster
 
-    if args.seeds < 1:
-        raise SystemExit(f"--seeds must be >= 1, got {args.seeds}")
-    overrides: dict[str, str] = {}
-    for pair in args.property:
-        key, separator, value = pair.partition("=")
-        if not separator:
-            raise SystemExit(f"bad -p argument {pair!r}: expected KEY=VALUE")
-        overrides[key.strip()] = value.strip()
-    bindings = tuple(dict.fromkeys(args.db)) if args.db else ("raw", "txn")
-    shard_counts = tuple(dict.fromkeys(args.shards)) if args.shards else (4,)
-    if any(count < 1 for count in shard_counts):
-        raise SystemExit(f"--shards must be >= 1, got {shard_counts}")
-    seeds = range(args.start_seed, args.start_seed + args.seeds)
-
-    result = run_cluster_campaign(
-        seeds,
-        bindings=bindings,
-        shard_counts=shard_counts,
-        properties=overrides or None,
-        kill=not args.no_kill,
-        out_dir=args.out,
-        on_result=lambda run: print(run.summary_line(), file=sys.stderr),
+    overrides = _parse_overrides(args)
+    return _sweep(
+        args,
+        [_shard_counts(args, 4), _axis(args.db, ("raw", "txn"))],
+        lambda shards, binding, seed: run_cluster(
+            binding, shards, overrides, seed, kill=not args.no_kill
+        ),
     )
-    print(result.summary())
-    for artifact in result.artifacts:
-        print(f"violation artifact: {artifact}")
-    # Same exit-code rule as `ycsbt crash`: the raw binding leaking money
-    # across a dead shard is the expected baseline; a transactional
-    # post-recovery violation means 2PC recovery broke its promise.
-    txn_violations = result.transactional_violations
-    if txn_violations:
-        seeds_hit = ", ".join(
-            f"{run.binding}/shards{run.shard_count}/{run.seed}"
-            for run in txn_violations
-        )
-        print(
-            f"error: post-recovery violation on {seeds_hit}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
 
 
 def _replicated_cluster(args: argparse.Namespace) -> int:
-    from ..cluster.replicated_campaign import run_replicated_campaign
+    from ..cluster.replicated_campaign import run_replicated_cluster
 
-    if args.seeds < 1:
-        raise SystemExit(f"--seeds must be >= 1, got {args.seeds}")
-    if args.followers < 1:
-        raise SystemExit(f"--followers must be >= 1, got {args.followers}")
-    overrides: dict[str, str] = {}
-    for pair in args.property:
-        key, separator, value = pair.partition("=")
-        if not separator:
-            raise SystemExit(f"bad -p argument {pair!r}: expected KEY=VALUE")
-        overrides[key.strip()] = value.strip()
-    bindings = tuple(dict.fromkeys(args.db)) if args.db else ("raw", "txn")
-    shard_counts = tuple(dict.fromkeys(args.shards)) if args.shards else (2,)
-    if any(count < 1 for count in shard_counts):
-        raise SystemExit(f"--shards must be >= 1, got {shard_counts}")
-    seeds = range(args.start_seed, args.start_seed + args.seeds)
-
-    result = run_replicated_campaign(
-        seeds,
-        bindings=bindings,
-        shard_counts=shard_counts,
-        follower_count=args.followers,
-        level=args.level,
-        properties=overrides or None,
-        kill=not args.no_kill,
-        out_dir=args.out,
-        on_result=lambda run: print(run.summary_line(), file=sys.stderr),
+    followers = _followers(args)
+    overrides = _parse_overrides(args)
+    return _sweep(
+        args,
+        [_shard_counts(args, 2), _axis(args.db, ("raw", "txn"))],
+        lambda shards, binding, seed: run_replicated_cluster(
+            binding, shards, followers, args.level, overrides, seed,
+            kill=not args.no_kill,
+        ),
     )
-    print(result.summary())
-    for artifact in result.artifacts:
-        print(f"violation artifact: {artifact}")
-    # Same exit-code rule as `ycsbt cluster`: the raw binding leaking
-    # money across a leaderless shard is the expected baseline; a
-    # transactional post-recovery violation means 2PC + failover broke
-    # its promise.
-    txn_violations = result.transactional_violations
-    if txn_violations:
-        seeds_hit = ", ".join(
-            f"{run.binding}/shards{run.shard_count}/{run.seed}"
-            for run in txn_violations
-        )
-        print(
-            f"error: post-recovery violation on {seeds_hit}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
 
 
 def _replication(args: argparse.Namespace) -> int:
-    from ..replication.campaign import REPLICATION_LEVELS, run_replication_campaign
+    from ..replication.campaign import REPLICATION_LEVELS, run_replication
 
-    if args.seeds < 1:
-        raise SystemExit(f"--seeds must be >= 1, got {args.seeds}")
-    if args.followers < 1:
-        raise SystemExit(f"--followers must be >= 1, got {args.followers}")
-    overrides: dict[str, str] = {}
-    for pair in args.property:
-        key, separator, value = pair.partition("=")
-        if not separator:
-            raise SystemExit(f"bad -p argument {pair!r}: expected KEY=VALUE")
-        overrides[key.strip()] = value.strip()
-    levels = tuple(dict.fromkeys(args.level)) if args.level else REPLICATION_LEVELS
-    seeds = range(args.start_seed, args.start_seed + args.seeds)
-
-    result = run_replication_campaign(
-        seeds,
-        levels=levels,
-        follower_count=args.followers,
-        properties=overrides or None,
-        kill=not args.no_kill,
-        out_dir=args.out,
-        on_result=lambda run: print(run.summary_line(), file=sys.stderr),
+    followers = _followers(args)
+    overrides = _parse_overrides(args)
+    return _sweep(
+        args,
+        [_axis(args.level, REPLICATION_LEVELS)],
+        lambda level, seed: run_replication(
+            level, seed, followers, overrides, kill=not args.no_kill
+        ),
     )
-    print(result.summary())
-    for artifact in result.artifacts:
-        print(f"violation artifact: {artifact}")
-    # Same exit-code shape as `ycsbt cluster`: bounded staleness leaking
-    # money through legally stale read-modify-writes is the expected
-    # baseline; a violation at strong or read_your_writes (or a broken
-    # log-prefix invariant at any level) fails the command.
-    gated = result.gated_violations
-    if gated:
-        seeds_hit = ", ".join(f"{run.level}/{run.seed}" for run in gated)
-        print(
-            f"error: post-failover violation on {seeds_hit}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
 
 
 def _exp(args: argparse.Namespace) -> int:

@@ -33,15 +33,14 @@ recovery can reach it (see docs/RECOVERY.md).
 
 from __future__ import annotations
 
-import json
 import random
 import time
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from ..bindings.kv import KVStoreDB
 from ..bindings.txn import TxnDB
+from ..campaign import recover
 from ..core.client import Client
 from ..core.closed_economy import ClosedEconomyWorkload
 from ..core.properties import Properties
@@ -56,7 +55,6 @@ from ..sim.trace import SimTrace, TracingDB
 from ..txn.manager import ClientTransactionManager
 from ..txn.percolator import PercolatorLikeManager
 from .crashpoints import CrashInjector, use_crash_injector
-from .scavenger import TxnScavenger
 from .store import CrashpointStore
 
 __all__ = [
@@ -64,11 +62,8 @@ __all__ = [
     "CRASH_SCHEDULES",
     "CRASH_BINDINGS",
     "CrashRunResult",
-    "CrashCampaignResult",
     "seeded_schedule",
     "run_crash",
-    "run_crash_campaign",
-    "write_crash_violation_trace",
 ]
 
 #: The sim campaign's CEW, minus deletes (see module docs) and minus
@@ -170,6 +165,8 @@ class CrashRunResult:
     trace: SimTrace | None = None
     errors: list[str] = field(default_factory=list)
 
+    group_by = "binding"
+
     @property
     def transactional(self) -> bool:
         return self.binding != "raw"
@@ -178,6 +175,66 @@ class CrashRunResult:
     def violation(self) -> bool:
         """True when recovery failed to restore a consistent state."""
         return not self.post_passed or self.post_gamma > 0.0 or self.residual_locks > 0
+
+    @property
+    def fails(self) -> bool:
+        """Raw leaks are the expected baseline; a transactional violation
+        means the scavenger broke its promise."""
+        return self.violation and self.transactional
+
+    def failure(self) -> str:
+        return f"post-recovery violation on {self.binding}/{self.schedule}/{self.seed}"
+
+    @staticmethod
+    def summarize(runs: list[CrashRunResult]) -> str:
+        violations = sum(1 for run in runs if run.violation)
+        crashes = sum(run.crashes for run in runs)
+        max_post = max(run.post_gamma for run in runs)
+        wall = sum(run.wall_time_s for run in runs)
+        return (
+            f"{len(runs)} runs, {crashes} crashed clients, "
+            f"{violations} post-recovery violations, "
+            f"max post-gamma {max_post:.6f}, {wall:.2f} wall s"
+        )
+
+    def trace_name(self) -> str:
+        return f"crash-violation-{self.binding}-{self.schedule}-seed{self.seed}.json"
+
+    def trace_payload(self) -> dict[str, object]:
+        """The replayable artifact for a run recovery failed to repair."""
+        payload: dict[str, object] = {
+            "kind": "ycsbt-crash-violation",
+            "binding": self.binding,
+            "seed": self.seed,
+            "schedule": self.schedule,
+            "crash_schedule": self.crash_schedule,
+            "crashpoints_fired": [list(pair) for pair in self.fired],
+            "crashes": self.crashes,
+            "pre_recovery": {"gamma": self.pre_gamma, "passed": self.pre_passed},
+            "post_recovery": {
+                "gamma": self.post_gamma,
+                "passed": self.post_passed,
+                "validation": [list(pair) for pair in self.post_validation_fields],
+                "residual_locks": self.residual_locks,
+            },
+            "scavenger": self.scavenger_counters,
+            "operations": self.operations,
+            "failed_operations": self.failed_operations,
+            "virtual_run_time_s": self.run_time_virtual_s,
+            "events_processed": self.events_processed,
+            "counters": self.counters,
+            "properties": self.properties,
+            "replay": {
+                "command": (
+                    f"ycsbt crash --db {self.binding} --schedule {self.schedule} "
+                    f"--seeds 1 --start-seed {self.seed}"
+                ),
+            },
+            "errors": self.errors,
+        }
+        if self.trace is not None:
+            payload["trace"] = self.trace.to_payload()
+        return payload
 
     def summary_line(self) -> str:
         flag = "VIOLATION" if self.violation else "ok"
@@ -294,32 +351,17 @@ def run_crash(
             sim_trace.phase = "run"
         with use_crash_injector(injector):
             run = client.run()
-
-        # -- recovery: expire leases, scavenge, verify nothing is left ----
-        lease_s = props.get_float("txn.lock_lease_ms", 1000.0) / 1000.0
-        clock.sleep(lease_s + lease_margin_s)
-        scavenger_counters: dict[str, int] = {}
-        residual_locks = 0
-        if manager is not None:
-            scavenger = TxnScavenger(manager)
-            scavenger.scavenge_once()
-            verify = scavenger.scavenge_once(remove_orphan_tsrs=False)
-            residual_locks = verify.locks_seen
-            scavenger_counters = {
-                name: value for name, value in scavenger.counters().items() if value
-            }
-            for name, value in scavenger_counters.items():
-                run.measurements.set_counter(name, value)
+        errors = list(run.errors) + list(load.errors)
+        recovery = recover(
+            workload,
+            base_factory,
+            manager,
+            run.measurements,
+            errors,
+            sleep_s=props.get_float("txn.lock_lease_ms", 1000.0) / 1000.0 + lease_margin_s,
+        )
         if injector.fired:
             run.measurements.set_counter("CRASHPOINTS-FIRED", len(injector.fired))
-
-        # -- post-recovery validation: the campaign's verdict --------------
-        post_db = base_factory()
-        post_db.init()
-        try:
-            post_validation = workload.validate(post_db)
-        finally:
-            post_db.cleanup()
         workload.cleanup()
     wall_time_s = time.perf_counter() - wall_started
     counters = {name: int(value) for name, value in run.measurements.counters().items()}
@@ -332,13 +374,7 @@ def run_crash(
         crashes=counters.get("CLIENT-CRASHES", 0),
         pre_gamma=run.anomaly_score if run.anomaly_score is not None else 0.0,
         pre_passed=run.validation.passed if run.validation else False,
-        post_gamma=post_validation.anomaly_score,
-        post_passed=post_validation.passed,
-        post_validation_fields=[
-            (str(name), str(value)) for name, value in post_validation.fields
-        ],
-        residual_locks=residual_locks,
-        scavenger_counters=scavenger_counters,
+        **recovery.verdict(),
         operations=run.operations,
         failed_operations=run.failed_operations,
         run_time_virtual_s=run.run_time_ms / 1000.0,
@@ -348,117 +384,5 @@ def run_crash(
         report_jsonl=JsonLinesExporter().export(run.report()),
         properties=props.as_dict(),
         trace=sim_trace,
-        errors=list(run.errors) + list(load.errors),
+        errors=errors,
     )
-
-
-def write_crash_violation_trace(result: CrashRunResult, directory: str | Path) -> Path:
-    """Write the replayable artifact for a run recovery failed to repair."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    payload: dict[str, object] = {
-        "kind": "ycsbt-crash-violation",
-        "binding": result.binding,
-        "seed": result.seed,
-        "schedule": result.schedule,
-        "crash_schedule": result.crash_schedule,
-        "crashpoints_fired": [list(pair) for pair in result.fired],
-        "crashes": result.crashes,
-        "pre_recovery": {"gamma": result.pre_gamma, "passed": result.pre_passed},
-        "post_recovery": {
-            "gamma": result.post_gamma,
-            "passed": result.post_passed,
-            "validation": [list(pair) for pair in result.post_validation_fields],
-            "residual_locks": result.residual_locks,
-        },
-        "scavenger": result.scavenger_counters,
-        "operations": result.operations,
-        "failed_operations": result.failed_operations,
-        "virtual_run_time_s": result.run_time_virtual_s,
-        "events_processed": result.events_processed,
-        "counters": result.counters,
-        "properties": result.properties,
-        "replay": {
-            "command": (
-                f"ycsbt crash --db {result.binding} --schedule {result.schedule} "
-                f"--seeds 1 --start-seed {result.seed}"
-            ),
-        },
-        "errors": result.errors,
-    }
-    if result.trace is not None:
-        payload["trace"] = result.trace.to_payload()
-    path = directory / (
-        f"crash-violation-{result.binding}-{result.schedule}-seed{result.seed}.json"
-    )
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-@dataclass
-class CrashCampaignResult:
-    """All runs of one crash campaign plus the violations it surfaced."""
-
-    runs: list[CrashRunResult]
-    artifacts: list[Path] = field(default_factory=list)
-
-    @property
-    def violations(self) -> list[CrashRunResult]:
-        return [run for run in self.runs if run.violation]
-
-    @property
-    def transactional_violations(self) -> list[CrashRunResult]:
-        """The failures that fail the campaign: recovery broke its promise."""
-        return [run for run in self.runs if run.transactional and run.violation]
-
-    def by_binding(self, binding: str) -> list[CrashRunResult]:
-        return [run for run in self.runs if run.binding == binding]
-
-    def summary(self) -> str:
-        lines = []
-        for binding in sorted({run.binding for run in self.runs}):
-            runs = self.by_binding(binding)
-            violations = [run for run in runs if run.violation]
-            crashes = sum(run.crashes for run in runs)
-            max_post = max((run.post_gamma for run in runs), default=0.0)
-            wall = sum(run.wall_time_s for run in runs)
-            lines.append(
-                f"{binding}: {len(runs)} runs, {crashes} crashed clients, "
-                f"{len(violations)} post-recovery violations, "
-                f"max post-gamma {max_post:.6f}, {wall:.2f} wall s"
-            )
-        return "\n".join(lines)
-
-
-def run_crash_campaign(
-    seeds: Sequence[int],
-    bindings: Sequence[str] = ("raw", "txn"),
-    schedules: Sequence[str] = ("prewrite", "primary-commit", "mid-secondary"),
-    properties: Mapping[str, str] | None = None,
-    out_dir: str | Path | None = None,
-    trace: bool = True,
-    on_result=None,
-) -> CrashCampaignResult:
-    """Sweep seeds x crash schedules x bindings; artifacts for violations.
-
-    Only *transactional* post-recovery violations should fail a CI job —
-    the raw binding leaking money when a client dies mid-transfer is the
-    expected baseline, not a bug (see the CLI's exit-code rule).
-    """
-    result = CrashCampaignResult(runs=[])
-    for schedule in schedules:
-        for binding in bindings:
-            for seed in seeds:
-                run = run_crash(
-                    binding=binding,
-                    properties=properties,
-                    seed=seed,
-                    schedule=schedule,
-                    trace=trace,
-                )
-                result.runs.append(run)
-                if run.violation and out_dir is not None:
-                    result.artifacts.append(write_crash_violation_trace(run, out_dir))
-                if on_result is not None:
-                    on_result(run)
-    return result

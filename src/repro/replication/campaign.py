@@ -17,13 +17,13 @@ leader's process**.  The campaign then
 4. re-validates the CEW economy through a ``strong`` reader and checks
    every follower's log is once again identical to the leader's.
 
-The verdict mirrors the cluster campaign's exit-code rule: at ``strong``
-and ``read_your_writes`` the post-failover economy must balance (total
-cash preserved, gamma == 0) — those are the **gated** levels.
-``bounded_staleness`` read-modify-writes against legally stale follower
-data, so its leaked money is the expected baseline the campaign reports
-but does not fail on.  A broken log-prefix invariant after rejoin is a
-protocol violation at *every* level.
+The verdict: at ``strong`` and ``read_your_writes`` the post-failover
+economy must balance (total cash preserved, gamma == 0) — those are the
+**gated** levels.  ``bounded_staleness`` read-modify-writes against
+legally stale follower data, so its leaked money is the expected
+baseline, not a violation.  A broken log-prefix invariant or a lost
+acknowledged record after rejoin is a protocol violation at *every*
+level.  Every violation fails the command.
 
 Wall-clock, like every campaign over real sockets: the kill point is
 deterministic (two exact half-runs), the timings are not.
@@ -31,20 +31,15 @@ deterministic (two exact half-runs), the timings are not.
 
 from __future__ import annotations
 
-import json
-import time
-from collections.abc import Mapping, Sequence
+import dataclasses
+from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from ..bindings.kv import KVStoreDB
-from ..cluster.campaign import DEFAULT_CLUSTER_PROPERTIES, _NoValidation
-from ..core.client import Client
-from ..core.closed_economy import ClosedEconomyWorkload
+from ..campaign import Scenario, kill_halfway
+from ..cluster.campaign import DEFAULT_CLUSTER_PROPERTIES
 from ..core.properties import Properties
-from ..core.workload import WorkloadError
-from ..kvstore.base import StoreError
-from ..measurements.registry import Measurements
 from .cluster import ReplicationCluster
 from .routed import ConsistencyLevel
 
@@ -53,10 +48,7 @@ __all__ = [
     "REPLICATION_LEVELS",
     "GATED_LEVELS",
     "ReplicationRunResult",
-    "ReplicationCampaignResult",
     "run_replication",
-    "run_replication_campaign",
-    "write_replication_violation_trace",
 ]
 
 #: The cluster campaign's CEW, single-threaded: one client session means
@@ -70,7 +62,7 @@ DEFAULT_REPLICATION_PROPERTIES: dict[str, str] = {
 
 REPLICATION_LEVELS = ("strong", "read_your_writes", "bounded_staleness")
 
-#: Levels whose post-failover violations fail a campaign (and CI).
+#: Levels whose post-failover economy must balance.
 GATED_LEVELS = ("strong", "read_your_writes")
 
 
@@ -106,6 +98,8 @@ class ReplicationRunResult:
     properties: dict[str, str]
     errors: list[str] = field(default_factory=list)
 
+    group_by = "level"
+
     @property
     def gated(self) -> bool:
         return self.level in GATED_LEVELS
@@ -118,8 +112,72 @@ class ReplicationRunResult:
         return protocol_broken or (self.gated and economy_broken)
 
     @property
+    def fails(self) -> bool:
+        """Every violation fails: ``violation`` already ignores an economy
+        leak at an ungated level, and a protocol break fails at any level."""
+        return self.violation
+
+    def failure(self) -> str:
+        return f"post-failover violation on {self.level}/{self.seed}"
+
+    @property
     def throughput(self) -> float:
         return self.operations / self.wall_time_s if self.wall_time_s > 0 else 0.0
+
+    @staticmethod
+    def summarize(runs: list[ReplicationRunResult]) -> str:
+        violations = sum(1 for run in runs if run.violation)
+        kills = sum(1 for run in runs if run.killed_leader is not None)
+        max_post = max(run.post_gamma for run in runs)
+        max_pre = max(run.pre_gamma for run in runs)
+        wall = sum(run.wall_time_s for run in runs)
+        return (
+            f"{len(runs)} runs, {kills} leader kills, "
+            f"{violations} violations, "
+            f"max pre-gamma {max_pre:.6f}, max post-gamma {max_post:.6f}, "
+            f"{wall:.2f} wall s"
+        )
+
+    def trace_name(self) -> str:
+        return f"replication-violation-{self.level}-seed{self.seed}.json"
+
+    def trace_payload(self) -> dict[str, object]:
+        """The replayable artifact for a run that broke its promises."""
+        return {
+            "kind": "ycsbt-replication-violation",
+            "level": self.level,
+            "seed": self.seed,
+            "follower_count": self.follower_count,
+            "failover": {
+                "killed_leader": self.killed_leader,
+                "new_leader": self.new_leader,
+                "term": self.term,
+                "lost_records": self.lost_records,
+                "rejoin_mode": self.rejoin_mode,
+            },
+            "healthy_operations": self.healthy_operations,
+            "degraded_operations": self.degraded_operations,
+            "pre_failover": {"gamma": self.pre_gamma, "passed": self.pre_passed},
+            "post_failover": {
+                "gamma": self.post_gamma,
+                "passed": self.post_passed,
+                "validation": [list(pair) for pair in self.post_validation_fields],
+                "logs_converged": self.logs_converged,
+            },
+            "operations": self.operations,
+            "failed_operations": self.failed_operations,
+            "wall_time_s": self.wall_time_s,
+            "counters": self.counters,
+            "properties": self.properties,
+            "replay": {
+                "command": (
+                    f"ycsbt replication --level {self.level} "
+                    f"--followers {self.follower_count} "
+                    f"--seeds 1 --start-seed {self.seed}"
+                ),
+            },
+            "errors": self.errors,
+        }
 
     def summary_line(self) -> str:
         flag = "VIOLATION" if self.violation else "ok"
@@ -144,6 +202,73 @@ def _replication_properties(base: Mapping[str, str] | None, seed: int) -> Proper
     return Properties(values)
 
 
+class _LeaderFailover(Scenario):
+    """Kill the leader and fail over cleanly before the degraded half; rejoin
+    the old leader as a follower after it.  The level's verdict is read
+    through a strong reader once every follower has caught up."""
+
+    def __init__(
+        self,
+        level: str,
+        follower_count: int,
+        lease_duration_s: float,
+        staleness_bound_s: float,
+        seed: int,
+    ):
+        self.level = level
+        self.follower_count = follower_count
+        self.lease_duration_s = lease_duration_s
+        self.staleness_bound_s = staleness_bound_s
+        self.seed = seed
+        self.killed_leader: str | None = None
+        self.new_leader: str | None = None
+        self.lost_records = 0
+        self.rejoin_mode: str | None = None
+
+    @contextmanager
+    def build(self, props: Properties):
+        with ReplicationCluster(
+            follower_count=self.follower_count,
+            lease_duration_s=self.lease_duration_s,
+            seed=self.seed,
+        ) as self.cluster:
+            self.props = props
+            self.term = self.cluster.leader_node.term
+            self.routed = self.cluster.routed(
+                ConsistencyLevel(self.level), staleness_bound_s=self.staleness_bound_s
+            )
+            yield lambda: KVStoreDB(self.routed, props)
+            leader_log = self.cluster.leader_node.log.snapshot()
+            self.logs_converged = all(
+                node.log.snapshot() == leader_log
+                for node in self.cluster.nodes.values()
+                if node is not self.cluster.leader_node
+            )
+
+    def settle(self) -> None:
+        self.cluster.wait_caught_up()
+
+    def inject(self) -> None:
+        # The routed store's lease-backed view finds the new leader itself.
+        self.killed_leader = self.cluster.kill_leader()
+        failover = self.cluster.failover(clean=True)
+        self.new_leader = failover["leader"]
+        self.term = failover["term"]
+        self.lost_records = failover["lost_records"]
+
+    def heal(self) -> None:
+        self.rejoin_mode = self.cluster.rejoin(self.killed_leader)["mode"]
+
+    def verdict_db(self, db_factory):
+        return KVStoreDB(self.cluster.routed(ConsistencyLevel.STRONG), self.props)
+
+    def counters(self) -> dict[str, int]:
+        return self.routed.counters()
+
+
+_RESULT_FIELDS = {f.name for f in dataclasses.fields(ReplicationRunResult)}
+
+
 def run_replication(
     level: str = "strong",
     seed: int = 0,
@@ -160,228 +285,20 @@ def run_replication(
             f"unknown consistency level {level!r}; use one of {REPLICATION_LEVELS}"
         )
     props = _replication_properties(properties, seed)
-    wall_started = time.perf_counter()
-    with ReplicationCluster(
-        follower_count=follower_count,
-        lease_duration_s=lease_duration_s,
-        seed=seed,
-    ) as cluster:
-        routed = cluster.routed(
-            ConsistencyLevel(level), staleness_bound_s=staleness_bound_s
-        )
-        db_factory = lambda: KVStoreDB(routed, props)  # noqa: E731
-
-        workload = ClosedEconomyWorkload()
-        measurements = Measurements.from_properties(props)
-        workload.init(props, measurements)
-        client = Client(workload, db_factory, props, measurements)
-        load = client.load()
-        cluster.wait_caught_up()
-
-        total_ops = props.get_int("operationcount", 400)
-        healthy_ops = max(1, int(total_ops * kill_fraction)) if kill else total_ops
-        degraded_ops = total_ops - healthy_ops
-
-        healthy = client.run(operation_count=healthy_ops)
-        errors = list(load.errors) + list(healthy.errors)
-        operations = healthy.operations
-        failed = healthy.failed_operations
-
-        killed_leader = None
-        new_leader = None
-        term = cluster.leader_node.term
-        lost_records = 0
-        rejoin_mode = None
-        degraded_count = 0
-        if kill and degraded_ops > 0:
-            killed_leader = cluster.kill_leader()
-            failover = cluster.failover(clean=True)
-            new_leader = failover["leader"]
-            term = failover["term"]
-            lost_records = failover["lost_records"]
-            # Same workload, same routed store — its lease-backed view
-            # already points at the new leader.  Validation is skipped
-            # for this half: it reads at the run's level, and the level's
-            # verdict is taken post-rejoin through a strong reader.
-            degraded_client = Client(
-                _NoValidation(workload), db_factory, props, measurements
-            )
-            degraded = degraded_client.run(operation_count=degraded_ops)
-            errors.extend(degraded.errors)
-            operations += degraded.operations
-            failed += degraded.failed_operations
-            degraded_count = degraded.operations
-            rejoin_mode = cluster.rejoin(killed_leader)["mode"]
-        cluster.wait_caught_up()
-
-        # -- post-failover validation through a strong reader ---------------
-        post_db = KVStoreDB(cluster.routed(ConsistencyLevel.STRONG), props)
-        post_db.init()
-        try:
-            post_validation = workload.validate(post_db)
-        except (WorkloadError, StoreError) as exc:
-            errors.append(f"post-validation: {type(exc).__name__}: {exc}")
-            post_validation = None
-        finally:
-            post_db.cleanup()
-        workload.cleanup()
-
-        leader_log = cluster.leader_node.log.snapshot()
-        logs_converged = all(
-            node.log.snapshot() == leader_log
-            for node in cluster.nodes.values()
-            if node is not cluster.leader_node
-        )
-        counters = {
-            name: int(value) for name, value in measurements.counters().items()
-        }
-        counters.update(routed.counters())
-    wall_time_s = time.perf_counter() - wall_started
+    scenario = _LeaderFailover(
+        level, follower_count, lease_duration_s, staleness_bound_s, seed
+    )
+    cycle = kill_halfway(scenario, props, kill, kill_fraction)
     return ReplicationRunResult(
         level=level,
         seed=seed,
         follower_count=follower_count,
-        killed_leader=killed_leader,
-        new_leader=new_leader,
-        term=term,
-        lost_records=lost_records,
-        rejoin_mode=rejoin_mode,
-        healthy_operations=healthy.operations,
-        degraded_operations=degraded_count,
-        pre_gamma=healthy.anomaly_score if healthy.anomaly_score is not None else 0.0,
-        pre_passed=healthy.validation.passed if healthy.validation else False,
-        post_gamma=post_validation.anomaly_score if post_validation else 1.0,
-        post_passed=post_validation.passed if post_validation else False,
-        post_validation_fields=[
-            (str(name), str(value)) for name, value in post_validation.fields
-        ]
-        if post_validation
-        else [],
-        logs_converged=logs_converged,
-        operations=operations,
-        failed_operations=failed,
-        wall_time_s=wall_time_s,
-        counters=counters,
+        killed_leader=scenario.killed_leader,
+        new_leader=scenario.new_leader,
+        term=scenario.term,
+        lost_records=scenario.lost_records,
+        rejoin_mode=scenario.rejoin_mode,
+        logs_converged=scenario.logs_converged,
         properties=props.as_dict(),
-        errors=errors,
+        **{name: value for name, value in cycle.items() if name in _RESULT_FIELDS},
     )
-
-
-def write_replication_violation_trace(
-    result: ReplicationRunResult, directory: str | Path
-) -> Path:
-    """Write the replayable artifact for a run that broke its promises."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    payload: dict[str, object] = {
-        "kind": "ycsbt-replication-violation",
-        "level": result.level,
-        "seed": result.seed,
-        "follower_count": result.follower_count,
-        "failover": {
-            "killed_leader": result.killed_leader,
-            "new_leader": result.new_leader,
-            "term": result.term,
-            "lost_records": result.lost_records,
-            "rejoin_mode": result.rejoin_mode,
-        },
-        "healthy_operations": result.healthy_operations,
-        "degraded_operations": result.degraded_operations,
-        "pre_failover": {"gamma": result.pre_gamma, "passed": result.pre_passed},
-        "post_failover": {
-            "gamma": result.post_gamma,
-            "passed": result.post_passed,
-            "validation": [list(pair) for pair in result.post_validation_fields],
-            "logs_converged": result.logs_converged,
-        },
-        "operations": result.operations,
-        "failed_operations": result.failed_operations,
-        "wall_time_s": result.wall_time_s,
-        "counters": result.counters,
-        "properties": result.properties,
-        "replay": {
-            "command": (
-                f"ycsbt replication --level {result.level} "
-                f"--followers {result.follower_count} "
-                f"--seeds 1 --start-seed {result.seed}"
-            ),
-        },
-        "errors": result.errors,
-    }
-    path = directory / (
-        f"replication-violation-{result.level}-seed{result.seed}.json"
-    )
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-@dataclass
-class ReplicationCampaignResult:
-    """All runs of one replication campaign plus the violations surfaced."""
-
-    runs: list[ReplicationRunResult]
-    artifacts: list[Path] = field(default_factory=list)
-
-    @property
-    def violations(self) -> list[ReplicationRunResult]:
-        return [run for run in self.runs if run.violation]
-
-    @property
-    def gated_violations(self) -> list[ReplicationRunResult]:
-        """The failures that fail the campaign (and the CI job)."""
-        return [run for run in self.runs if run.violation and run.gated]
-
-    def by_level(self, level: str) -> list[ReplicationRunResult]:
-        return [run for run in self.runs if run.level == level]
-
-    def summary(self) -> str:
-        lines = []
-        for level in sorted({run.level for run in self.runs}):
-            runs = self.by_level(level)
-            violations = [run for run in runs if run.violation]
-            kills = sum(1 for run in runs if run.killed_leader is not None)
-            max_post = max((run.post_gamma for run in runs), default=0.0)
-            max_pre = max((run.pre_gamma for run in runs), default=0.0)
-            wall = sum(run.wall_time_s for run in runs)
-            lines.append(
-                f"{level}: {len(runs)} runs, {kills} leader kills, "
-                f"{len(violations)} violations, "
-                f"max pre-gamma {max_pre:.6f}, max post-gamma {max_post:.6f}, "
-                f"{wall:.2f} wall s"
-            )
-        return "\n".join(lines)
-
-
-def run_replication_campaign(
-    seeds: Sequence[int],
-    levels: Sequence[str] = REPLICATION_LEVELS,
-    follower_count: int = 2,
-    properties: Mapping[str, str] | None = None,
-    kill: bool = True,
-    out_dir: str | Path | None = None,
-    on_result=None,
-) -> ReplicationCampaignResult:
-    """Sweep seeds x consistency levels; artifacts for every violation.
-
-    Only *gated-level* violations should fail a CI job — bounded
-    staleness leaking money through legally stale read-modify-writes is
-    the expected baseline, not a bug (see the CLI's exit-code rule).
-    """
-    result = ReplicationCampaignResult(runs=[])
-    for level in levels:
-        for seed in seeds:
-            run = run_replication(
-                level=level,
-                seed=seed,
-                follower_count=follower_count,
-                properties=properties,
-                kill=kill,
-            )
-            result.runs.append(run)
-            if run.violation and out_dir is not None:
-                result.artifacts.append(
-                    write_replication_violation_trace(run, out_dir)
-                )
-            if on_result is not None:
-                on_result(run)
-    return result

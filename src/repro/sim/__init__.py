@@ -6,8 +6,8 @@ See ``docs/SIMULATION.md``.  The package splits into:
   and the ambient-clock context every timing module defaults to.
 - :mod:`repro.sim.scheduler` — the event-heap :class:`Scheduler`,
   :class:`SimClock`, and :class:`VirtualResource`.
-- :mod:`repro.sim.campaign` — seed-sweep campaigns (``ycsbt sim``),
-  operation tracing, and violation-trace artifacts.  Imported lazily so
+- :mod:`repro.sim.campaign` — the ``ycsbt sim`` unit of work and its
+  violation-trace artifact (swept by :func:`repro.campaign.sweep`).  Imported lazily so
   the clock primitives stay dependency-free for the core modules that
   import them.
 """
@@ -46,19 +46,13 @@ __all__ = [
     "SIM_EPOCH",
     # lazy (see __getattr__): campaign API
     "SimRunResult",
-    "CampaignResult",
     "run_sim",
-    "run_campaign",
-    "write_violation_trace",
     "DEFAULT_SIM_PROPERTIES",
 ]
 
 _LAZY = {
     "SimRunResult",
-    "CampaignResult",
     "run_sim",
-    "run_campaign",
-    "write_violation_trace",
     "DEFAULT_SIM_PROPERTIES",
 }
 

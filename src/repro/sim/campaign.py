@@ -19,11 +19,9 @@ retries and verify-then-decide, scores gamma == 0 on every seed.
 
 from __future__ import annotations
 
-import json
 import time
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from ..bindings.kv import KVStoreDB
 from ..bindings.txn import TxnDB
@@ -45,10 +43,7 @@ __all__ = [
     "FAULT_SCHEDULES",
     "SIM_BINDINGS",
     "SimRunResult",
-    "CampaignResult",
     "run_sim",
-    "run_campaign",
-    "write_violation_trace",
 ]
 
 #: Baseline campaign workload: a small Closed Economy with every CEW
@@ -127,10 +122,70 @@ class SimRunResult:
     trace: SimTrace | None = None
     errors: list[str] = field(default_factory=list)
 
+    group_by = "binding"
+
     @property
     def violation(self) -> bool:
         """True when the economy leaked: the thing campaigns hunt."""
         return self.gamma > 0.0 or not self.passed
+
+    @property
+    def fails(self) -> bool:
+        """Raw-binding leaks are the expected finding; a txn leak is a bug."""
+        return self.violation and self.binding != "raw"
+
+    def failure(self) -> str:
+        return f"transactional binding violated on seed {self.seed}"
+
+    @staticmethod
+    def summarize(runs: list[SimRunResult]) -> str:
+        violations = sum(1 for run in runs if run.violation)
+        max_gamma = max(run.gamma for run in runs)
+        vtime = sum(run.run_time_virtual_s for run in runs)
+        wall = sum(run.wall_time_s for run in runs)
+        return (
+            f"{len(runs)} runs, {violations} violations, "
+            f"max gamma {max_gamma:.6f}, {vtime:.0f} simulated s "
+            f"in {wall:.2f} wall s"
+        )
+
+    def trace_name(self) -> str:
+        return f"violation-{self.binding}-{self.schedule}-seed{self.seed}.json"
+
+    def trace_payload(self) -> dict[str, object]:
+        """The minimal reproducing artifact: seed, fault schedule, full
+        property set, the gamma verdict, and the operation interleaving
+        (virtual time, task, op, key, status per DB call)."""
+        payload: dict[str, object] = {
+            "kind": "ycsbt-sim-violation",
+            "binding": self.binding,
+            "seed": self.seed,
+            "schedule": self.schedule,
+            "gamma": self.gamma,
+            "validation_passed": self.passed,
+            "validation": [list(pair) for pair in self.validation_fields],
+            "operations": self.operations,
+            "failed_operations": self.failed_operations,
+            "virtual_run_time_s": self.run_time_virtual_s,
+            "events_processed": self.events_processed,
+            "counters": self.counters,
+            "fault_schedule": {
+                key: value
+                for key, value in self.properties.items()
+                if key.startswith("fault.")
+            },
+            "properties": self.properties,
+            "replay": {
+                "command": (
+                    f"ycsbt sim --db {self.binding} --schedule {self.schedule} "
+                    f"--seeds 1 --start-seed {self.seed}"
+                ),
+            },
+            "errors": self.errors,
+        }
+        if self.trace is not None:
+            payload["trace"] = self.trace.to_payload()
+        return payload
 
     def summary_line(self) -> str:
         flag = "VIOLATION" if self.violation else "ok"
@@ -271,113 +326,3 @@ def run_sim(
         trace=sim_trace,
         errors=list(run.errors) + list(load.errors),
     )
-
-
-def write_violation_trace(result: SimRunResult, directory: str | Path) -> Path:
-    """Write the minimal reproducing artifact for a violating run.
-
-    The artifact carries everything needed to replay and to read the
-    failure: seed, fault schedule, full property set, the gamma verdict,
-    and the operation interleaving (virtual time, task, op, key, status
-    per DB call).
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    payload: dict[str, object] = {
-        "kind": "ycsbt-sim-violation",
-        "binding": result.binding,
-        "seed": result.seed,
-        "schedule": result.schedule,
-        "gamma": result.gamma,
-        "validation_passed": result.passed,
-        "validation": [list(pair) for pair in result.validation_fields],
-        "operations": result.operations,
-        "failed_operations": result.failed_operations,
-        "virtual_run_time_s": result.run_time_virtual_s,
-        "events_processed": result.events_processed,
-        "counters": result.counters,
-        "fault_schedule": {
-            key: value
-            for key, value in result.properties.items()
-            if key.startswith("fault.")
-        },
-        "properties": result.properties,
-        "replay": {
-            "command": (
-                f"ycsbt sim --db {result.binding} --schedule {result.schedule} "
-                f"--seeds 1 --start-seed {result.seed}"
-            ),
-        },
-        "errors": result.errors,
-    }
-    if result.trace is not None:
-        payload["trace"] = result.trace.to_payload()
-    path = directory / (
-        f"violation-{result.binding}-{result.schedule}-seed{result.seed}.json"
-    )
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-@dataclass
-class CampaignResult:
-    """All runs of one campaign plus the violations it surfaced."""
-
-    runs: list[SimRunResult]
-    artifacts: list[Path] = field(default_factory=list)
-
-    @property
-    def violations(self) -> list[SimRunResult]:
-        return [run for run in self.runs if run.violation]
-
-    def by_binding(self, binding: str) -> list[SimRunResult]:
-        return [run for run in self.runs if run.binding == binding]
-
-    def summary(self) -> str:
-        lines = []
-        bindings = sorted({run.binding for run in self.runs})
-        for binding in bindings:
-            runs = self.by_binding(binding)
-            violations = [run for run in runs if run.violation]
-            max_gamma = max((run.gamma for run in runs), default=0.0)
-            vtime = sum(run.run_time_virtual_s for run in runs)
-            wall = sum(run.wall_time_s for run in runs)
-            lines.append(
-                f"{binding}: {len(runs)} runs, {len(violations)} violations, "
-                f"max gamma {max_gamma:.6f}, {vtime:.0f} simulated s "
-                f"in {wall:.2f} wall s"
-            )
-        return "\n".join(lines)
-
-
-def run_campaign(
-    seeds: Sequence[int],
-    bindings: Sequence[str] = SIM_BINDINGS,
-    schedules: Sequence[str] = ("baseline",),
-    properties: Mapping[str, str] | None = None,
-    out_dir: str | Path | None = None,
-    trace: bool = True,
-    on_result=None,
-) -> CampaignResult:
-    """Sweep seeds x schedules x bindings; write artifacts for violations.
-
-    ``on_result`` (optional callable) receives each :class:`SimRunResult`
-    as it completes — the CLI uses it for progressive output.
-    """
-    result = CampaignResult(runs=[])
-    for schedule in schedules:
-        for binding in bindings:
-            for seed in seeds:
-                run = run_sim(
-                    binding=binding,
-                    properties=properties,
-                    seed=seed,
-                    schedule=schedule,
-                    trace=trace,
-                )
-                result.runs.append(run)
-                if run.violation and out_dir is not None:
-                    result.artifacts.append(write_violation_trace(run, out_dir))
-                if on_result is not None:
-                    on_result(run)
-    return result

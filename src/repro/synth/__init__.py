@@ -12,16 +12,11 @@ The pipeline:
    deterministic run on the sim clock — O(active-users) memory, minutes
    of wall time for a million-user / ten-million-op day — and checks
    the spec's conformance assertions.
-3. :func:`~repro.synth.campaign.run_synth_campaign` sweeps seeds x
-   scenarios x bindings and writes replayable violation traces, exactly
-   like ``ycsbt sim``.
+3. ``ycsbt synth`` sweeps scenarios x bindings x seeds through
+   :func:`repro.campaign.sweep` and writes replayable violation traces,
+   exactly like ``ycsbt sim``.
 """
 
-from .campaign import (
-    SynthCampaignResult,
-    run_synth_campaign,
-    write_synth_violation_trace,
-)
 from .engine import (
     DEFAULT_SYNTH_PROPERTIES,
     AssertionOutcome,
@@ -52,7 +47,6 @@ __all__ = [
     "RateCurve",
     "SCENARIOS",
     "SpikeSegment",
-    "SynthCampaignResult",
     "SynthCewWorkload",
     "SynthRunResult",
     "SynthSpec",
@@ -63,8 +57,6 @@ __all__ = [
     "paced_arrivals",
     "poisson_arrivals",
     "run_synth",
-    "run_synth_campaign",
     "scenario_names",
     "synth_spec_from_dict",
-    "write_synth_violation_trace",
 ]

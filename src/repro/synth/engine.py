@@ -42,7 +42,7 @@ from ..measurements.registry import Measurements, StopWatch
 from ..sim.campaign import _build_binding
 from ..sim.clock import use_clock
 from ..sim.scheduler import SimClock
-from .spec import SynthSpec, TenantSpec
+from .spec import SCENARIOS, SynthSpec, TenantSpec
 
 __all__ = [
     "DEFAULT_SYNTH_PROPERTIES",
@@ -173,6 +173,8 @@ class SynthRunResult:
     properties: dict[str, str] = field(default_factory=dict)
     validation_fields: list[tuple[str, str]] = field(default_factory=list)
 
+    group_by = "scenario"
+
     @property
     def passed(self) -> bool:
         return all(outcome.passed for outcome in self.assertions)
@@ -182,8 +184,73 @@ class SynthRunResult:
         """True when any deterministic assertion failed: replay the seed."""
         return not self.passed
 
+    @property
+    def fails(self) -> bool:
+        """Every assertion must hold on both bindings (the engine is
+        serial, so even raw stays consistent): any violation fails."""
+        return self.violation
+
     def failed_assertions(self) -> list[AssertionOutcome]:
         return [outcome for outcome in self.assertions if not outcome.passed]
+
+    def failure(self) -> str:
+        failed = "; ".join(
+            f"{outcome.name}: {outcome.detail}" for outcome in self.failed_assertions()
+        )
+        return f"{self.scenario}/{self.binding} seed {self.seed}: {failed}"
+
+    @staticmethod
+    def summarize(runs: list[SynthRunResult]) -> str:
+        violations = sum(1 for run in runs if run.violation)
+        ops = sum(run.operations for run in runs)
+        vtime = sum(run.virtual_time_s for run in runs)
+        wall = sum(run.wall_time_s for run in runs)
+        peak = max(run.peak_user_states for run in runs)
+        return (
+            f"{len(runs)} runs, {violations} violations, "
+            f"{ops} ops, peak {peak} resident users, "
+            f"{vtime:.0f} simulated s in {wall:.1f} wall s"
+        )
+
+    def trace_name(self) -> str:
+        return f"synth-violation-{self.scenario}-{self.binding}-seed{self.seed}.json"
+
+    def trace_payload(self) -> dict[str, object]:
+        """The minimal reproducing artifact for a failed run; a built-in
+        scenario's full spec rides along."""
+        payload: dict[str, object] = {
+            "kind": "ycsbt-synth-violation",
+            "scenario": self.scenario,
+            "binding": self.binding,
+            "seed": self.seed,
+            "operations": self.operations,
+            "failed_operations": self.failed_operations,
+            "throttled_operations": self.throttled_operations,
+            "gamma": self.gamma,
+            "validation_passed": self.validation_passed,
+            "validation": [list(pair) for pair in self.validation_fields],
+            "assertions": [outcome.to_dict() for outcome in self.assertions],
+            "arrivals_by_bucket": self.arrivals_by_bucket,
+            "target_by_bucket": self.target_by_bucket,
+            "tenant_offered": self.tenant_offered,
+            "tenant_admitted": self.tenant_admitted,
+            "tenant_throttled": self.tenant_throttled,
+            "peak_user_states": self.peak_user_states,
+            "distinct_users": self.distinct_users,
+            "virtual_time_s": self.virtual_time_s,
+            "counters": self.counters,
+            "properties": self.properties,
+            "replay": {
+                "command": (
+                    f"ycsbt synth --scenario {self.scenario} --db {self.binding} "
+                    f"--seeds 1 --start-seed {self.seed}"
+                ),
+            },
+        }
+        spec = SCENARIOS.get(self.scenario)
+        if spec is not None:
+            payload["spec"] = spec.to_dict()
+        return payload
 
     def summary_line(self) -> str:
         flag = "VIOLATION" if self.violation else "ok"

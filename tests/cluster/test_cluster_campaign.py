@@ -4,12 +4,11 @@ import json
 
 import pytest
 
+from repro.campaign import sweep, write_trace
 from repro.cluster.campaign import (
     CLUSTER_BINDINGS,
     ClusterRunResult,
     run_cluster,
-    run_cluster_campaign,
-    write_cluster_violation_trace,
 )
 
 #: Small enough to keep one cycle around a second, big enough that the
@@ -20,6 +19,10 @@ FAST_PROPERTIES = {
     "threadcount": "2",
     "txn.lock_lease_ms": "300",
 }
+
+
+def _run(shard_count, binding, seed):
+    return run_cluster(binding, shard_count, FAST_PROPERTIES, seed)
 
 
 def test_unknown_binding_rejected():
@@ -57,7 +60,7 @@ def test_violation_trace_is_replayable_json(tmp_path):
     result = run_cluster(
         binding="txn", shard_count=2, properties=FAST_PROPERTIES, seed=2
     )
-    path = write_cluster_violation_trace(result, tmp_path)
+    path = write_trace(result, tmp_path)
     trace = json.loads(path.read_text(encoding="utf-8"))
     assert trace["binding"] == "txn"
     assert trace["shard_count"] == 2
@@ -74,30 +77,20 @@ def test_raw_binding_leaks_money_across_a_dead_shard():
     seed is not guaranteed to leak, so sweep a few and require at least
     one raw violation — that asymmetry against the txn runs above is the
     whole point of the campaign."""
-    campaign = run_cluster_campaign(
-        seeds=range(3),
-        bindings=("raw",),
-        shard_counts=(2,),
-        properties=FAST_PROPERTIES,
-    )
+    campaign = sweep([(2,), ("raw",)], range(3), _run)
     assert len(campaign.runs) == 3
     assert campaign.violations, campaign.summary()
-    assert campaign.transactional_violations == []
+    assert campaign.failures == []
 
 
 @pytest.mark.slow
 def test_campaign_sweeps_and_writes_artifacts(tmp_path):
     seen: list[ClusterRunResult] = []
-    campaign = run_cluster_campaign(
-        seeds=[0],
-        bindings=CLUSTER_BINDINGS,
-        shard_counts=(2, 3),
-        properties=FAST_PROPERTIES,
-        out_dir=tmp_path,
-        on_result=seen.append,
+    campaign = sweep(
+        [(2, 3), CLUSTER_BINDINGS], [0], _run, out_dir=tmp_path, on_result=seen.append
     )
     assert len(campaign.runs) == len(seen) == 4
-    assert campaign.transactional_violations == []
+    assert campaign.failures == []
     assert {run.shard_count for run in campaign.runs} == {2, 3}
     for artifact in campaign.artifacts:
         assert artifact.exists()

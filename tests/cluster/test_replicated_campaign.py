@@ -4,11 +4,10 @@ import json
 
 import pytest
 
+from repro.campaign import sweep, write_trace
 from repro.cluster.replicated_campaign import (
     ReplicatedRunResult,
-    run_replicated_campaign,
     run_replicated_cluster,
-    write_replicated_violation_trace,
 )
 
 #: Small enough to keep one cycle around a second, big enough that the
@@ -19,6 +18,12 @@ FAST_PROPERTIES = {
     "threadcount": "2",
     "txn.lock_lease_ms": "300",
 }
+
+
+def _run(shard_count, binding, seed):
+    return run_replicated_cluster(
+        binding, shard_count, properties=FAST_PROPERTIES, seed=seed
+    )
 
 
 def test_unknown_binding_rejected():
@@ -67,7 +72,7 @@ def test_violation_trace_is_replayable_json(tmp_path):
     result = run_replicated_cluster(
         binding="txn", shard_count=2, properties=FAST_PROPERTIES, seed=2
     )
-    path = write_replicated_violation_trace(result, tmp_path)
+    path = write_trace(result, tmp_path)
     trace = json.loads(path.read_text(encoding="utf-8"))
     assert trace["kind"] == "ycsbt-replicated-cluster-violation"
     assert trace["binding"] == "txn"
@@ -87,30 +92,20 @@ def test_raw_binding_leaks_money_across_a_dead_leader():
     seed is not guaranteed to leak, so sweep a few and require at least
     one raw violation — that asymmetry against the txn runs above is the
     whole point of the campaign."""
-    campaign = run_replicated_campaign(
-        seeds=range(3),
-        bindings=("raw",),
-        shard_counts=(2,),
-        properties=FAST_PROPERTIES,
-    )
+    campaign = sweep([(2,), ("raw",)], range(3), _run)
     assert len(campaign.runs) == 3
     assert campaign.violations, campaign.summary()
-    assert campaign.transactional_violations == []
+    assert campaign.failures == []
 
 
 @pytest.mark.slow
 def test_campaign_sweeps_and_writes_artifacts(tmp_path):
     seen: list[ReplicatedRunResult] = []
-    campaign = run_replicated_campaign(
-        seeds=[0],
-        bindings=("raw", "txn"),
-        shard_counts=(2,),
-        properties=FAST_PROPERTIES,
-        out_dir=tmp_path,
-        on_result=seen.append,
+    campaign = sweep(
+        [(2,), ("raw", "txn")], [0], _run, out_dir=tmp_path, on_result=seen.append
     )
     assert len(campaign.runs) == len(seen) == 2
-    assert campaign.transactional_violations == []
+    assert campaign.failures == []
     for artifact in campaign.artifacts:
         assert artifact.exists()
     assert "txn" in campaign.summary()

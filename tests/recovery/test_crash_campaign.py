@@ -10,13 +10,12 @@ import json
 
 import pytest
 
+from repro.campaign import sweep, write_trace
 from repro.recovery.campaign import (
     CRASH_SCHEDULES,
     CrashRunResult,
     run_crash,
-    run_crash_campaign,
     seeded_schedule,
-    write_crash_violation_trace,
 )
 
 
@@ -86,16 +85,15 @@ class TestScavengerEvidence:
 
 class TestCampaign:
     def test_campaign_sweeps_and_writes_artifacts(self, tmp_path):
-        campaign = run_crash_campaign(
-            seeds=range(2),
-            bindings=("raw", "txn"),
-            schedules=("worker-kill",),
+        campaign = sweep(
+            [("worker-kill",), ("raw", "txn")],
+            range(2),
+            lambda schedule, binding, seed: _run(binding, seed, schedule),
             out_dir=tmp_path,
-            trace=False,
         )
         assert len(campaign.runs) == 4
         # Transactional recovery held; any violations are raw-binding ones.
-        assert campaign.transactional_violations == []
+        assert campaign.failures == []
         for run in campaign.violations:
             assert run.binding == "raw"
         assert len(campaign.artifacts) == len(campaign.violations)
@@ -104,7 +102,7 @@ class TestCampaign:
 
     def test_violation_trace_is_replayable_json(self, tmp_path):
         result = _run(binding="raw", seed=0, schedule="worker-kill")
-        path = write_crash_violation_trace(result, tmp_path)
+        path = write_trace(result, tmp_path)
         payload = json.loads(path.read_text())
         assert payload["kind"] == "ycsbt-crash-violation"
         assert payload["seed"] == 0

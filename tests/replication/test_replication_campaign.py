@@ -4,11 +4,10 @@ import json
 
 import pytest
 
+from repro.campaign import sweep, write_trace
 from repro.replication.campaign import (
     ReplicationRunResult,
     run_replication,
-    run_replication_campaign,
-    write_replication_violation_trace,
 )
 
 #: Small enough to keep one cycle around a second, big enough that the
@@ -17,6 +16,10 @@ FAST_PROPERTIES = {
     "recordcount": "20",
     "operationcount": "80",
 }
+
+
+def _run(level, seed):
+    return run_replication(level, seed, properties=FAST_PROPERTIES)
 
 
 def test_unknown_level_rejected():
@@ -63,7 +66,7 @@ def test_fault_free_run_skips_the_kill():
 
 def test_violation_trace_is_replayable_json(tmp_path):
     result = run_replication(level="strong", properties=FAST_PROPERTIES, seed=3)
-    path = write_replication_violation_trace(result, tmp_path)
+    path = write_trace(result, tmp_path)
     trace = json.loads(path.read_text(encoding="utf-8"))
     assert trace["level"] == "strong"
     assert trace["seed"] == 3
@@ -79,15 +82,11 @@ def test_bounded_staleness_is_the_expected_leaky_baseline():
     """The control: read-modify-writes over legally stale follower reads
     lose money, and the campaign reports rather than gates it.  One seed
     is not guaranteed to leak, so sweep a few and require at least one."""
-    campaign = run_replication_campaign(
-        seeds=range(3),
-        levels=("bounded_staleness",),
-        properties=FAST_PROPERTIES,
-    )
+    campaign = sweep([("bounded_staleness",)], range(3), _run)
     assert len(campaign.runs) == 3
     leaked = [run for run in campaign.runs if run.post_gamma > 0.0]
     assert leaked, campaign.summary()
-    assert campaign.gated_violations == []
+    assert campaign.failures == []
     # Whatever it leaked, the protocol itself converged everywhere.
     assert all(run.logs_converged for run in campaign.runs)
 
@@ -95,15 +94,12 @@ def test_bounded_staleness_is_the_expected_leaky_baseline():
 @pytest.mark.slow
 def test_campaign_sweeps_and_writes_artifacts(tmp_path):
     seen: list[ReplicationRunResult] = []
-    campaign = run_replication_campaign(
-        seeds=[0],
-        levels=("strong", "read_your_writes"),
-        properties=FAST_PROPERTIES,
-        out_dir=tmp_path,
-        on_result=seen.append,
+    campaign = sweep(
+        [("strong", "read_your_writes")], [0], _run,
+        out_dir=tmp_path, on_result=seen.append,
     )
     assert len(campaign.runs) == len(seen) == 2
-    assert campaign.gated_violations == []
+    assert campaign.failures == []
     for artifact in campaign.artifacts:
         assert artifact.exists()
     assert "strong" in campaign.summary()

@@ -12,12 +12,12 @@ The two headline properties of the simulation subsystem:
 
 import json
 
-from repro.sim.campaign import (
-    FAULT_SCHEDULES,
-    run_campaign,
-    run_sim,
-    write_violation_trace,
-)
+from repro.campaign import sweep, write_trace
+from repro.sim.campaign import FAULT_SCHEDULES, SIM_BINDINGS, run_sim
+
+
+def _run(schedule, binding, seed):
+    return run_sim(binding, seed=seed, schedule=schedule)
 
 
 class TestDeterminism:
@@ -50,12 +50,13 @@ class TestDeterminism:
 class TestCampaign:
     def test_twenty_seeds_raw_leaks_txn_never(self, tmp_path):
         """The acceptance sweep: >= 20 seeds, both bindings, baseline faults."""
-        campaign = run_campaign(range(20), out_dir=tmp_path)
+        campaign = sweep([("baseline",), SIM_BINDINGS], range(20), _run, out_dir=tmp_path)
 
-        raw_violations = [r for r in campaign.by_binding("raw") if r.violation]
+        raw_violations = [r for r in campaign.violations if r.binding == "raw"]
         assert raw_violations, "no raw-binding violation in 20 seeds"
+        assert campaign.failures == []
 
-        for run in campaign.by_binding("txn"):
+        for run in (r for r in campaign.runs if r.binding == "txn"):
             assert run.gamma == 0.0, run.summary_line()
             assert run.passed, run.summary_line()
 
@@ -69,9 +70,9 @@ class TestCampaign:
             assert "--start-seed" in payload["replay"]["command"]
 
     def test_violation_artifact_replays_exactly(self, tmp_path):
-        campaign = run_campaign(range(20), bindings=("raw",), trace=True)
+        campaign = sweep([("baseline",), ("raw",)], range(20), _run)
         violation = next(r for r in campaign.runs if r.violation)
-        artifact = write_violation_trace(violation, tmp_path)
+        artifact = write_trace(violation, tmp_path)
         payload = json.loads(artifact.read_text())
 
         replay = run_sim(

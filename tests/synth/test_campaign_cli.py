@@ -1,18 +1,13 @@
 """Synthesis campaigns and the ``ycsbt synth`` sub-command."""
 
-import dataclasses
 import json
 
 import pytest
 
-import repro.synth.campaign as campaign_module
+import repro.synth.engine as engine_module
+from repro.campaign import sweep, write_trace
 from repro.core.cli import main
-from repro.synth.campaign import (
-    SynthCampaignResult,
-    run_synth_campaign,
-    write_synth_violation_trace,
-)
-from repro.synth.engine import AssertionOutcome, SynthRunResult
+from repro.synth.engine import AssertionOutcome, SynthRunResult, run_synth
 from repro.synth.models import RateCurve
 from repro.synth.spec import SynthSpec, scenario_names
 
@@ -60,10 +55,14 @@ def fake_result(passed, scenario="steady", binding="raw", seed=9):
     )
 
 
+def _run(spec, binding, seed):
+    return run_synth(spec, binding=binding, seed=seed)
+
+
 class TestCampaign:
     def test_sweep_shape_and_summary(self):
         spec = tiny_spec()
-        result = run_synth_campaign([spec], seeds=[0, 1], bindings=["raw", "txn"])
+        result = sweep([[spec], ["raw", "txn"]], [0, 1], _run)
         assert len(result.runs) == 4
         assert not result.violations
         assert {run.binding for run in result.runs} == {"raw", "txn"}
@@ -71,19 +70,18 @@ class TestCampaign:
 
     def test_spec_objects_names_and_callbacks(self):
         seen = []
-        result = run_synth_campaign(
-            [tiny_spec()], seeds=[3], on_result=seen.append
-        )
+        result = sweep([[tiny_spec()], [None]], [3], _run, on_result=seen.append)
         assert len(seen) == len(result.runs) == 1
-        # bindings=None uses the spec's own binding.
+        # binding=None uses the spec's own binding.
         assert result.runs[0].binding == "raw"
 
-    def test_violation_writes_artifact(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            campaign_module, "run_synth",
-            lambda spec, binding=None, seed=0: fake_result(passed=False, seed=seed),
+    def test_violation_writes_artifact(self, tmp_path):
+        result = sweep(
+            [[tiny_spec()], [None]],
+            [9],
+            lambda spec, binding, seed: fake_result(passed=False, seed=seed),
+            out_dir=tmp_path,
         )
-        result = run_synth_campaign([tiny_spec()], seeds=[9], out_dir=tmp_path)
         assert len(result.violations) == 1
         assert len(result.artifacts) == 1
         payload = json.loads(result.artifacts[0].read_text())
@@ -93,13 +91,13 @@ class TestCampaign:
         assert payload["assertions"][0]["passed"] is False
 
     def test_no_artifact_when_passing(self, tmp_path):
-        result = run_synth_campaign([tiny_spec()], seeds=[0], out_dir=tmp_path)
+        result = sweep([[tiny_spec()], [None]], [0], _run, out_dir=tmp_path)
         assert not result.violations
         assert not result.artifacts
         assert not list(tmp_path.glob("synth-violation-*.json"))
 
     def test_trace_includes_builtin_spec(self, tmp_path):
-        path = write_synth_violation_trace(fake_result(passed=False), tmp_path)
+        path = write_trace(fake_result(passed=False), tmp_path)
         payload = json.loads(path.read_text())
         # "steady" is a built-in scenario, so the full spec rides along
         # for replay without access to the original process.
@@ -144,7 +142,7 @@ class TestSynthCommand:
 
     def test_violation_fails_command(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(
-            campaign_module, "run_synth",
+            engine_module, "run_synth",
             lambda spec, binding=None, seed=0: fake_result(
                 passed=False, scenario=spec.name, binding=binding or spec.binding,
                 seed=seed,
