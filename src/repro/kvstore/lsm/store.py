@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 import threading
 from collections.abc import Iterator, Mapping
 from pathlib import Path
@@ -24,7 +25,7 @@ from pathlib import Path
 from ...recovery.crashpoints import crashpoint
 from ..base import Fields, KeyValueStore, StoreClosed, VersionedValue
 from .memtable import Memtable, MemtableEntry
-from .sstable import SSTable
+from .sstable import SSTable, bloom_hash
 from .wal import WalRecord, WriteAheadLog
 
 __all__ = ["LSMKVStore"]
@@ -80,10 +81,11 @@ class LSMKVStore(KeyValueStore):
     def _lookup_entry(self, key: str) -> MemtableEntry | None:
         """Newest entry for ``key`` across memtable and segments."""
         entry = self._memtable.lookup(key)
-        if entry is not None:
+        if entry is not None or not self._segments:
             return entry
+        hashed = bloom_hash(key)  # once, for every segment's bloom probe
         for segment in reversed(self._segments):
-            entry = segment.lookup(key)
+            entry = segment.lookup(key, hashed)
             if entry is not None:
                 return entry
         return None
@@ -137,9 +139,7 @@ class LSMKVStore(KeyValueStore):
             self._check_open()
             self._flush_locked()
             if len(self._segments) <= 1 and not any(
-                entry.is_tombstone
-                for segment in self._segments
-                for entry in segment.entries()
+                segment.tombstones for segment in self._segments
             ):
                 return 0
             # Newest version of each key wins; count everything else.
@@ -153,7 +153,7 @@ class LSMKVStore(KeyValueStore):
                         latest[entry.key] = entry
             live = [latest[key] for key in sorted(latest) if not latest[key].is_tombstone]
             discarded = total - len(live)
-            new_segment = SSTable.write(self._segment_path(), live)
+            new_segment = SSTable.write(self._segment_path(), live, max_sequence=self._sequence)
             for old in self._segments:
                 old.delete_file()
             self._segments = [new_segment]
@@ -199,21 +199,36 @@ class LSMKVStore(KeyValueStore):
         return iter(collected)
 
     def size(self) -> int:
+        """Live keys, counted from the memtable and the segment indexes
+        without reading any record from disk."""
         with self._lock:
             self._check_open()
-            live: set[str] = set()
-            dead: set[str] = set()
-            decided: set[str] = set()
-            for entry in self._memtable.entries():
-                (dead if entry.is_tombstone else live).add(entry.key)
-                decided.add(entry.key)
-            for segment in reversed(self._segments):
-                for entry in segment.entries():
-                    if entry.key in decided:
-                        continue
-                    (dead if entry.is_tombstone else live).add(entry.key)
-                    decided.add(entry.key)
-            return len(live)
+            buffered = list(self._memtable.entries())
+            # Every source lists its keys sorted and once, so sorting their
+            # concatenation merges runs, and a key held by several sources
+            # shows up as equal neighbours.  A list costs 8 bytes a key; a
+            # set would cost several times that.
+            merged = sorted(
+                itertools.chain(
+                    (entry.key for entry in buffered),
+                    *(segment.keys() for segment in self._segments),
+                )
+            )
+            repeats = sum(map(operator.eq, merged, itertools.islice(merged, 1, None)))
+            distinct = len(merged) - repeats
+            deleted = {entry.key for entry in buffered if entry.is_tombstone}.union(
+                *(segment.tombstones for segment in self._segments)
+            )
+            return distinct - sum(self._deleted_last(key) for key in deleted)
+
+    def _deleted_last(self, key: str) -> bool:
+        """Whether the newest entry for a key known to the store is a
+        tombstone, from the indexes alone."""
+        entry = self._memtable.lookup(key)
+        if entry is not None:
+            return entry.is_tombstone
+        newest = next(segment for segment in reversed(self._segments) if key in segment)
+        return key in newest.tombstones
 
     # -- KeyValueStore: writes ----------------------------------------------------
 

@@ -23,7 +23,11 @@ from pathlib import Path
 from ...recovery.crashpoints import CrashError, get_crash_injector
 from ..base import Fields, StoreError
 
-__all__ = ["WalRecord", "WriteAheadLog", "WalCorruptionError"]
+__all__ = ["WalRecord", "WriteAheadLog", "WalCorruptionError", "encode_json"]
+
+#: Compact JSON for WAL and segment lines.  One shared encoder: ``json.dumps``
+#: with non-default separators builds a new ``JSONEncoder`` on every call.
+encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class WalCorruptionError(StoreError):
@@ -43,7 +47,7 @@ class WalRecord:
         document: dict[str, object] = {"seq": self.sequence, "op": self.op, "key": self.key}
         if self.value is not None:
             document["value"] = self.value
-        return json.dumps(document, separators=(",", ":"))
+        return encode_json(document)
 
     @classmethod
     def from_json(cls, line: str) -> "WalRecord":
@@ -72,38 +76,35 @@ class WriteAheadLog:
 
     def append(self, record: WalRecord) -> None:
         """Durably (or lazily, per ``sync_writes``) append ``record``."""
-        line = record.to_json() + "\n"
-        injector = get_crash_injector()
-        if injector is not None:
-            try:
-                injector.hit("wal.mid_append")
-            except CrashError:
-                # Die with the record half on disk: a torn tail with no
-                # trailing newline, exactly what an interrupted write +
-                # partial page flush leaves behind.  Replay must drop it.
-                with self._lock:
-                    self._file.write(line[: max(1, len(line) // 2)])
-                    self._file.flush()
-                    if self._sync_writes:
-                        os.fsync(self._file.fileno())
-                raise
-        with self._lock:
-            self._file.write(line)
-            self._file.flush()
-            if self._sync_writes:
-                os.fsync(self._file.fileno())
+        self._write(record.to_json() + "\n")
 
     def append_batch(self, records: list[WalRecord]) -> None:
         """Append many records with a single flush (and single fsync).
 
         This is where bulk loading earns its speedup: the group commit
-        amortises the per-write durability cost over the whole batch —
-        all-or-nothing durability for the batch's tail is acceptable for
-        a load phase that is re-runnable.
+        amortises the per-write durability cost over the whole batch.  A
+        crash mid-append leaves a whole-record prefix of the batch plus a
+        torn tail that replay drops, which a re-runnable load phase accepts.
         """
         if not records:
             return
-        payload = "".join(record.to_json() + "\n" for record in records)
+        self._write("".join(record.to_json() + "\n" for record in records))
+
+    def _write(self, payload: str) -> None:
+        injector = get_crash_injector()
+        if injector is not None:
+            try:
+                injector.hit("wal.mid_append")
+            except CrashError:
+                # Die with the payload half on disk: a torn tail with no
+                # trailing newline, exactly what an interrupted write +
+                # partial page flush leaves behind.  Replay must drop it.
+                with self._lock:
+                    self._file.write(payload[: max(1, len(payload) // 2)])
+                    self._file.flush()
+                    if self._sync_writes:
+                        os.fsync(self._file.fileno())
+                raise
         with self._lock:
             self._file.write(payload)
             self._file.flush()
